@@ -30,14 +30,22 @@ void merge_max(std::atomic<std::size_t>& into, std::size_t value) noexcept {
   }
 }
 
+/// True when the cycle is big enough to amortize fanning it out over the
+/// pool. The plan cache serves only inline cycles (the paper-scale
+/// configuration), so the chunked resolvers stay exactly as profiled.
+[[nodiscard]] bool would_chunk(const PlaneBusExec& exec, std::size_t total_units,
+                               std::size_t total_words) noexcept {
+  return exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
+         total_words >= exec.min_words;
+}
+
 /// Runs `body(begin, end)` over [0, total_units), chunked across the pool
-/// when the cycle is big enough to amortize the fan-out. Chunks own
-/// disjoint unit ranges, so bodies never race on output words.
+/// when would_chunk says so. Chunks own disjoint unit ranges, so bodies
+/// never race on output words.
 template <typename Body>
 void run_chunked(const PlaneBusExec& exec, std::size_t total_units,
                  std::size_t total_words, const Body& body) {
-  if (exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
-      total_words >= exec.min_words) {
+  if (would_chunk(exec, total_units, total_words)) {
     exec.pool->parallel_for(total_units, body);
   } else {
     body(0, total_units);
@@ -51,44 +59,30 @@ template <typename T>
   return v.data();
 }
 
-/// OR-masks the column range [clo, chi] of one row into every plane whose
-/// bit is set in `drv_bits`, and into the driven plane unconditionally.
-void fill_col_range(const PlaneGeometry& g, std::size_t row, std::size_t clo,
-                    std::size_t chi, std::uint64_t drv_bits,
-                    const std::size_t plane_words, PlaneWord* out, PlaneWord* driven) {
+/// Lanes of word `w` that fall in the column range [clo, chi].
+[[nodiscard]] PlaneWord col_range_mask(std::size_t w, std::size_t clo, std::size_t chi) noexcept {
+  const std::size_t base = w * kLanesPerWord;
+  const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
+  const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
+  return (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
+         ~((PlaneWord{1} << lo) - 1);
+}
+
+/// Sets columns [clo, chi] of `row` in `plane`.
+void fill_col_range(const PlaneGeometry& g, PlaneWord* plane, std::size_t row,
+                    std::size_t clo, std::size_t chi) {
   if (clo > chi) return;
-  const std::size_t w_lo = clo / kLanesPerWord;
-  const std::size_t w_hi = chi / kLanesPerWord;
-  for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    const std::size_t base = w * kLanesPerWord;
-    const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-    const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-    const PlaneWord mask =
-        (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) & ~((PlaneWord{1} << lo) - 1);
-    const std::size_t idx = row * g.row_words + w;
-    if (driven != nullptr) driven[idx] |= mask;
-    std::uint64_t bits = drv_bits;
-    while (bits != 0) {
-      const int j = __builtin_ctzll(bits);
-      out[static_cast<std::size_t>(j) * plane_words + idx] |= mask;
-      bits &= bits - 1;
-    }
+  for (std::size_t w = clo / kLanesPerWord; w <= chi / kLanesPerWord; ++w) {
+    plane[row * g.row_words + w] |= col_range_mask(w, clo, chi);
   }
 }
 
-/// True iff any src bit is set in columns [clo, chi] of `row`.
+/// True iff any bit is set in columns [clo, chi] of `row` of `plane`.
 [[nodiscard]] bool any_in_col_range(const PlaneGeometry& g, const PlaneWord* plane,
                                     std::size_t row, std::size_t clo, std::size_t chi) {
   if (clo > chi) return false;
-  const std::size_t w_lo = clo / kLanesPerWord;
-  const std::size_t w_hi = chi / kLanesPerWord;
-  for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    const std::size_t base = w * kLanesPerWord;
-    const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-    const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-    const PlaneWord mask =
-        (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) & ~((PlaneWord{1} << lo) - 1);
-    if ((plane[row * g.row_words + w] & mask) != 0) return true;
+  for (std::size_t w = clo / kLanesPerWord; w <= chi / kLanesPerWord; ++w) {
+    if ((plane[row * g.row_words + w] & col_range_mask(w, clo, chi)) != 0) return true;
   }
   return false;
 }
@@ -134,9 +128,9 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast plan cache (BroadcastPlanCache): exact-key LRU lookup shared by
-// the row and column broadcast resolvers. A hit skips the whole switch
-// resolution pass; a miss rebuilds the least-recently-used slot.
+// Broadcast plan cache (BroadcastPlanCache): exact-key LRU lookup for the
+// column broadcast resolver. A hit skips the whole switch resolution pass; a
+// miss rebuilds the least-recently-used slot.
 // ---------------------------------------------------------------------------
 
 /// Cache probe. Returns the matching slot with hit=true; on a miss, either
@@ -195,356 +189,158 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
   return victim;
 }
 
-void stamp_plan_key(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                    const PlaneWord* open, BroadcastPlan& plan) {
-  plan.open.assign(open, open + g.plane_words());
-  plan.n = g.n;
-  plan.topology = static_cast<std::uint8_t>(topology);
-  plan.dir = static_cast<std::uint8_t>(dir);
-  plan.whole_rows.clear();
-  plan.segs.clear();
-  plan.col_have.clear();
-  plan.col_pend.clear();
-  plan.k_stop = 0;
-}
-
-/// True when run_chunked would fan this cycle out over the pool — the plan
-/// cache serves only inline cycles (the paper-scale configuration), so the
-/// chunked resolvers stay exactly as profiled.
-[[nodiscard]] bool would_chunk(const PlaneBusExec& exec, std::size_t total_units,
-                               std::size_t total_words) noexcept {
-  return exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
-         total_words >= exec.min_words;
-}
-
 // ---------------------------------------------------------------------------
 // Row buses (East / West)
 // ---------------------------------------------------------------------------
-//
-// Both resolvers special-case the configurations where a whole row is one
-// segment: zero Open switches, and — on a ring — exactly one (the head and
-// tail intervals meet around the wrap). Those are the overwhelmingly
-// common rows in the minimum-cost-path kernels (Open = the cluster
-// delimiter L, at most one per row), and they reduce to whole-row masked
-// fills with no per-bit scanning.
 
-/// One word's worth of segment fill: OR `mask` into plane word `widx`
-/// (absolute, row * row_words + w) of every plane whose bit is set in
-/// `drv`. A register has at most 32 planes, so drv fits 32 bits.
-struct RowFill {
-  std::uint32_t widx;
-  std::uint32_t drv;
-  PlaneWord mask;
-};
+// Row broadcast kernels. Every lane reads the src bit of the nearest Open
+// switch strictly upstream in flow order (on a ring the lanes through the
+// first Open switch read the last one), so each row is a segmented copy
+// costing O(row_words) word operations per plane however many drivers it
+// has. The driven plane is the same fill with every Open switch driving a
+// 1, i.e. with `open` as its src. The hot loops keep every size in a local:
+// PlaneWord stores may alias std::size_t objects, so a size read through a
+// reference would be reloaded after every store.
 
-/// Fused miss path: the same resolve-and-fill pass as the chunked resolver
-/// below, recording the configuration into `plan` as it goes — so a miss
-/// costs what the plain resolver costs (the minimum-variant kernels issue
-/// data-dependent configurations that never repeat, and they must not pay
-/// a separate resolve pass for a plan nothing will reuse).
-void row_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                          const PlaneWord* src, int planes, const PlaneWord* open,
-                          PlaneWord* out, PlaneWord* driven, BroadcastPlan& plan) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  stamp_plan_key(g, topology, dir, open, plan);
-  std::size_t max_segment = 0;
-
-  std::fill(driven, driven + pw, PlaneWord{0});
-  for (int j = 0; j < planes; ++j) {
-    PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-    std::fill(p, p + pw, PlaneWord{0});
+/// East fill of one row: lane c reads `in` at the nearest Open lane below
+/// it. Adding the drivers, shifted one lane up, to the closed-lane mask
+/// starts a carry at each driver's neighbour that runs through the closed
+/// lanes and stops on the next Open lane, so `sum ^ closed` marks exactly
+/// the lanes that driver reaches. `carry` enters lane 0 (the ring wrap).
+void fill_row_east(const PlaneWord* open, const PlaneWord* in, std::size_t row_words,
+                   PlaneWord last_mask, PlaneWord carry, PlaneWord* to) {
+  PlaneWord top = 0;  // driver bit shifted out of the previous word
+  for (std::size_t w = 0; w < row_words; ++w) {
+    const PlaneWord mask = w + 1 == row_words ? last_mask : ~PlaneWord{0};
+    const PlaneWord closed = ~open[w] & mask;
+    const PlaneWord drivers = open[w] & in[w];
+    const PlaneWord add = (drivers << 1) | top;
+    top = drivers >> 63;
+    const PlaneWord sum = closed + add;
+    const PlaneWord total = sum + carry;
+    carry = static_cast<PlaneWord>(sum < add) | static_cast<PlaneWord>(total < sum);
+    to[w] = (total ^ closed) & mask;
   }
-  const auto driver_bits = [&](std::size_t row, std::size_t c) {
-    const std::size_t word = row * rw + c / kLanesPerWord;
-    const unsigned bit = PlaneGeometry::bit_of(c);
-    std::uint64_t drv = 0;
-    for (int j = 0; j < planes; ++j) {
-      drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
-    }
-    return drv;
-  };
-  // Fill the flow interval [fa, fb] from the switch at `col`, and record
-  // it; segments whose driver happens to be all-zero still go in the plan
-  // (a hit replays the configuration under different data).
-  const auto emit = [&](std::size_t row, std::size_t fa, std::size_t fb, std::size_t col,
-                        std::uint64_t drv) {
-    if (fa > fb) return;
-    const std::size_t clo = dir == Direction::East ? fa : n - 1 - fb;
-    const std::size_t chi = dir == Direction::East ? fb : n - 1 - fa;
-    plan.segs.push_back({static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(col),
-                         static_cast<std::uint32_t>(clo), static_cast<std::uint32_t>(chi)});
-    const std::size_t w_lo = clo / kLanesPerWord;
-    const std::size_t w_hi = chi / kLanesPerWord;
-    for (std::size_t w = w_lo; w <= w_hi; ++w) {
-      const std::size_t base = w * kLanesPerWord;
-      const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-      const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-      const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                             ~((PlaneWord{1} << lo) - 1);
-      const std::size_t idx = row * rw + w;
-      driven[idx] |= mask;
-      std::uint64_t bits = drv;
-      while (bits != 0) {
-        const int j = __builtin_ctzll(bits);
-        out[static_cast<std::size_t>(j) * pw + idx] |= mask;
-        bits &= bits - 1;
-      }
-    }
-  };
-
-  for (std::size_t r = 0; r < n; ++r) {
-    if (topology == BusTopology::Ring && row_open_count(g, open, r) == 1) {
-      std::size_t c = 0;
-      for (std::size_t w = 0; w < rw; ++w) {
-        if (open[r * rw + w] != 0) {
-          c = w * kLanesPerWord + static_cast<unsigned>(__builtin_ctzll(open[r * rw + w]));
-          break;
-        }
-      }
-      plan.whole_rows.push_back({static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(c)});
-      for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = g.word_mask(w);
-      std::uint64_t drv = driver_bits(r, c);
-      while (drv != 0) {
-        const int j = __builtin_ctzll(drv);
-        PlaneWord* p = out + static_cast<std::size_t>(j) * pw + r * rw;
-        for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-        drv &= drv - 1;
-      }
-      max_segment = std::max(max_segment, n);
-      continue;
-    }
-    std::size_t first = kNone;
-    std::size_t prev = kNone;
-    std::size_t col = 0;
-    std::uint64_t drv = 0;
-    for_each_open_in_row(g, open, r, dir, [&](std::size_t k, std::size_t c) {
-      if (prev != kNone) {
-        max_segment = std::max(max_segment, k - prev);
-        emit(r, prev + 1, k, col, drv);
-      } else {
-        first = k;
-      }
-      col = c;
-      drv = driver_bits(r, c);
-      prev = k;
-    });
-    if (prev != kNone) {
-      if (topology == BusTopology::Ring) {
-        emit(r, prev + 1, n - 1, col, drv);
-        emit(r, 0, first, col, drv);
-        max_segment = std::max(max_segment, n - prev + first);
-      } else {
-        emit(r, prev + 1, n - 1, col, drv);
-        max_segment = std::max(max_segment, n - 1 - prev);
-      }
-    }
-  }
-  plan.driven.assign(driven, driven + pw);
-  plan.max_segment = max_segment;
 }
 
-/// Executes one row broadcast from a resolved plan: re-derives each
-/// segment's driver bits from its recorded column and stamps the fills.
-void row_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
-                        const PlaneWord* src, int planes, PlaneWord* out,
-                        PlaneWord* driven) {
-  const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  std::copy(plan.driven.begin(), plan.driven.end(), driven);
-  for (int j = 0; j < planes; ++j) {
-    PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-    std::fill(p, p + pw, PlaneWord{0});
-  }
-  const auto driver_bits = [&](std::size_t row, std::size_t c) {
-    const std::size_t word = row * rw + c / kLanesPerWord;
-    const unsigned bit = PlaneGeometry::bit_of(c);
-    std::uint64_t drv = 0;
-    for (int j = 0; j < planes; ++j) {
-      drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
+/// West fill of one row: lane c reads `in` at the nearest Open lane above
+/// it. Carries never run downward, so each word runs a 6-step copy-down
+/// scan that gives every lane the bit of the nearest Open lane at or above
+/// it; lanes with none read the word above. `carry` enters above lane n-1
+/// (the ring wrap).
+void fill_row_west(const PlaneWord* open, const PlaneWord* in, std::size_t row_words,
+                   PlaneWord last_mask, PlaneWord carry, PlaneWord* to) {
+  for (std::size_t w = row_words; w-- > 0;) {
+    PlaneWord known = open[w];
+    PlaneWord v = known & in[w];
+    for (unsigned s = 0; s < 6; ++s) {
+      v |= (v >> (1u << s)) & ~known;
+      known |= known >> (1u << s);
     }
-    return drv;
+    v |= ~known & (PlaneWord{0} - carry);
+    to[w] = ((v >> 1) | (carry << 63)) & (w + 1 == row_words ? last_mask : ~PlaneWord{0});
+    carry = v & 1u;
+  }
+}
+
+/// Row broadcast of rows [r_begin, r_end); returns their max_segment.
+/// Fill j < fills - 1 reads plane j of `src` into plane j of `out`; the
+/// last fill reads `open` into `driven`.
+std::size_t row_broadcast_rows(std::size_t n, bool ring, bool east, const PlaneWord* src,
+                               std::size_t fills, const PlaneWord* open, PlaneWord* out,
+                               PlaneWord* driven, std::size_t r_begin, std::size_t r_end) {
+  const PlaneGeometry geometry(n);
+  const std::size_t rw = geometry.row_words;
+  const std::size_t pw = geometry.plane_words();
+  const PlaneWord last_mask = geometry.word_mask(rw - 1);
+  // Rows go in blocks: first each row's switch facts, sorting the rows by
+  // how they fill, then every plane's slice of the block in turn. Each
+  // plane streams through consecutive words (touching all planes of one
+  // row at the plane pitch keeps hitting the same few cache sets), and
+  // each kind of row fills in its own loop, with no per-row dispatch.
+  constexpr std::size_t kBlock = 32;
+  struct RowRef {
+    std::size_t base;  // first word of the row
+    std::size_t word;  // word and bit of the last Open switch in flow order
+    unsigned bit;      // (the ring's wrap driver; a whole row's only one)
   };
-  for (const BroadcastPlan::RowDrive& d : plan.whole_rows) {
-    std::uint64_t drv = driver_bits(d.row, d.col);
-    while (drv != 0) {
-      const int j = __builtin_ctzll(drv);
-      PlaneWord* p = out + static_cast<std::size_t>(j) * pw +
-                     static_cast<std::size_t>(d.row) * rw;
-      for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-      drv &= drv - 1;
+  RowRef whole[kBlock];          // a ring row with one Open switch: it drives every lane
+  RowRef segmented[kBlock];      // any other row with an Open switch
+  std::size_t floating[kBlock];  // no Open switch: the whole row floats (zeros)
+  std::size_t max_segment = 0;
+  for (std::size_t rb = r_begin; rb < r_end; rb += kBlock) {
+    const std::size_t re = std::min(rb + kBlock, r_end);
+    std::size_t n_whole = 0;
+    std::size_t n_segmented = 0;
+    std::size_t n_floating = 0;
+    for (std::size_t r = rb; r < re; ++r) {
+      // One walk over the Open switches: count, extreme columns, widest gap.
+      std::size_t count = 0;
+      std::size_t lo = 0;
+      std::size_t hi = 0;
+      std::size_t gap = 0;
+      for (std::size_t w = 0; w < rw; ++w) {
+        for (PlaneWord bits = open[r * rw + w]; bits != 0; bits &= bits - 1) {
+          const std::size_t c = w * kLanesPerWord + static_cast<unsigned>(__builtin_ctzll(bits));
+          if (count++ == 0) {
+            lo = c;
+          } else {
+            gap = std::max(gap, c - hi);
+          }
+          hi = c;
+        }
+      }
+      if (count == 0) {  // adds no segment
+        floating[n_floating++] = r * rw;
+        continue;
+      }
+      max_segment = std::max({max_segment, gap, ring ? n - (hi - lo) : east ? n - 1 - hi : lo});
+      const std::size_t wrap_col = east ? hi : lo;
+      const RowRef ref{r * rw, r * rw + wrap_col / kLanesPerWord, PlaneGeometry::bit_of(wrap_col)};
+      if (ring && count == 1) {
+        whole[n_whole++] = ref;
+      } else {
+        segmented[n_segmented++] = ref;
+      }
     }
-  }
-  for (const BroadcastPlan::RowSeg& s : plan.segs) {
-    const std::uint64_t drv = driver_bits(s.row, s.col);
-    if (drv == 0) continue;
-    const std::size_t w_lo = s.clo / kLanesPerWord;
-    const std::size_t w_hi = s.chi / kLanesPerWord;
-    for (std::size_t w = w_lo; w <= w_hi; ++w) {
-      const std::size_t base = w * kLanesPerWord;
-      const unsigned lo = static_cast<unsigned>(s.clo > base ? s.clo - base : 0);
-      const unsigned hi = static_cast<unsigned>(std::min(s.chi - base, kLanesPerWord - 1));
-      const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                             ~((PlaneWord{1} << lo) - 1);
-      const std::size_t idx = static_cast<std::size_t>(s.row) * rw + w;
-      std::uint64_t bits = drv;
-      while (bits != 0) {
-        const int j = __builtin_ctzll(bits);
-        out[static_cast<std::size_t>(j) * pw + idx] |= mask;
-        bits &= bits - 1;
+    for (std::size_t j = 0; j < fills; ++j) {
+      const bool is_driven = j + 1 == fills;
+      const PlaneWord* in = is_driven ? open : src + j * pw;
+      PlaneWord* to = is_driven ? driven : out + j * pw;
+      for (std::size_t i = 0; i < n_floating; ++i) {
+        std::fill(to + floating[i], to + floating[i] + rw, PlaneWord{0});
+      }
+      for (std::size_t i = 0; i < n_whole; ++i) {
+        const RowRef& s = whole[i];
+        const PlaneWord all = PlaneWord{0} - ((in[s.word] >> s.bit) & 1u);
+        for (std::size_t w = 0; w + 1 < rw; ++w) to[s.base + w] = all;
+        to[s.base + rw - 1] = all & last_mask;
+      }
+      for (std::size_t i = 0; i < n_segmented; ++i) {
+        const RowRef& s = segmented[i];
+        const PlaneWord wrap = ring ? (in[s.word] >> s.bit) & 1u : 0;
+        if (east) {
+          fill_row_east(open + s.base, in + s.base, rw, last_mask, wrap, to + s.base);
+        } else {
+          fill_row_west(open + s.base, in + s.base, rw, last_mask, wrap, to + s.base);
+        }
       }
     }
   }
+  return max_segment;
 }
 
 std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                           const PlaneWord* src, int planes, const PlaneWord* open,
                           PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
   const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  PPA_ASSERT(planes <= 32, "a register has at most 32 planes");
-  if (exec.scratch != nullptr &&
-      !would_chunk(exec, n, pw * static_cast<std::size_t>(planes + 1))) {
-    bool hit = false;
-    BroadcastPlan* plan = lookup_broadcast_plan(exec.scratch->broadcast_plans, g,
-                                                topology, dir, open, hit);
-    if (plan != nullptr) {
-      if (hit) {
-        row_broadcast_exec(g, *plan, src, planes, out, driven);
-      } else {
-        row_broadcast_record(g, topology, dir, src, planes, open, out, driven, *plan);
-      }
-      return plan->max_segment;
-    }
-  }
+  const bool ring = topology == BusTopology::Ring;
+  const bool east = dir == Direction::East;
+  const auto fills = static_cast<std::size_t>(planes) + 1;
   std::atomic<std::size_t> max_segment{0};
-
-  run_chunked(exec, n, pw * static_cast<std::size_t>(planes + 1),
-              [&](std::size_t r_begin, std::size_t r_end) {
-    std::size_t chunk_max = 0;
-    // Pass 1 resolves the switch configuration once — per-row fill entries
-    // and the driven plane — so pass 2 only touches planes a driver
-    // actually pulls high. A segment tiles into at most (words spanned)
-    // entries, so `fills` stays small.
-    std::vector<RowFill> fills;
-    fills.reserve((r_end - r_begin) * (rw + 2));
-    // Rows whose single ring driver covers the whole line (the dominant
-    // configuration in the MCP kernels) compress to one record; widx holds
-    // the ROW index for these.
-    std::vector<RowFill> whole_rows;
-    whole_rows.reserve(r_end - r_begin);
-
-    const auto emit = [&](std::size_t row, std::size_t fa, std::size_t fb,
-                          std::uint64_t drv) {
-      if (fa > fb) return;
-      const std::size_t clo = dir == Direction::East ? fa : n - 1 - fb;
-      const std::size_t chi = dir == Direction::East ? fb : n - 1 - fa;
-      const std::size_t w_lo = clo / kLanesPerWord;
-      const std::size_t w_hi = chi / kLanesPerWord;
-      for (std::size_t w = w_lo; w <= w_hi; ++w) {
-        const std::size_t base = w * kLanesPerWord;
-        const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-        const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-        const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                               ~((PlaneWord{1} << lo) - 1);
-        driven[row * rw + w] |= mask;
-        if (drv != 0) {
-          fills.push_back({static_cast<std::uint32_t>(row * rw + w),
-                           static_cast<std::uint32_t>(drv), mask});
-        }
-      }
-    };
-    // Per-driver plane reads stay inline: the `planes` loads stride the
-    // plane pitch at a CONSTANT step, which the hardware stride prefetcher
-    // covers — both a plane-at-a-time gather and per-row word staging
-    // measure faster in isolation but slower end to end.
-    const auto driver_bits = [&](std::size_t row, std::size_t c) {
-      const std::size_t word = row * rw + c / kLanesPerWord;
-      const unsigned bit = PlaneGeometry::bit_of(c);
-      std::uint64_t drv = 0;
-      for (int j = 0; j < planes; ++j) {
-        drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
-      }
-      return drv;
-    };
-
-    for (std::size_t r = r_begin; r < r_end; ++r) {
-      if (topology == BusTopology::Ring && row_open_count(g, open, r) == 1) {
-        // One Open switch on a ring: its value wraps all the way around and
-        // every lane of the row (driver included) reads it.
-        std::size_t c = 0;
-        for (std::size_t w = 0; w < rw; ++w) {
-          if (open[r * rw + w] != 0) {
-            c = w * kLanesPerWord +
-                static_cast<unsigned>(__builtin_ctzll(open[r * rw + w]));
-            break;
-          }
-        }
-        const std::uint64_t drv = driver_bits(r, c);
-        for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = g.word_mask(w);
-        if (drv != 0) {
-          whole_rows.push_back({static_cast<std::uint32_t>(r),
-                                static_cast<std::uint32_t>(drv), 0});
-        }
-        chunk_max = std::max(chunk_max, n);
-        continue;
-      }
-      for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = 0;
-      std::size_t first = kNone;
-      std::size_t prev = kNone;
-      std::uint64_t drv = 0;
-      for_each_open_in_row(g, open, r, dir, [&](std::size_t k, std::size_t c) {
-        if (prev != kNone) {
-          chunk_max = std::max(chunk_max, k - prev);
-          emit(r, prev + 1, k, drv);
-        } else {
-          first = k;
-        }
-        drv = driver_bits(r, c);
-        prev = k;
-      });
-      if (prev != kNone) {  // no Open switch: the whole line floats (zeros)
-        if (topology == BusTopology::Ring) {
-          emit(r, prev + 1, n - 1, drv);
-          emit(r, 0, first, drv);
-          chunk_max = std::max(chunk_max, n - prev + first);
-        } else {
-          emit(r, prev + 1, n - 1, drv);
-          chunk_max = std::max(chunk_max, n - 1 - prev);
-        }
-      }
-    }
-
-    // Pass 2: zero the chunk's slice of every plane, then stamp each fill
-    // entry into just the planes its driver pulls high. (Bucketing the
-    // entries by plane first measures as a net loss here: MCP drivers
-    // light up ~14 of 16 planes, so the expanded side buffer outweighs
-    // the store locality it buys.)
-    for (int j = 0; j < planes; ++j) {
-      PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-      std::fill(p + r_begin * rw, p + r_end * rw, PlaneWord{0});
-    }
-    for (const RowFill& f : whole_rows) {
-      std::uint32_t drv = f.drv;
-      while (drv != 0) {
-        const int j = __builtin_ctz(drv);
-        PlaneWord* p = out + static_cast<std::size_t>(j) * pw +
-                       static_cast<std::size_t>(f.widx) * rw;
-        for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-        drv &= drv - 1;
-      }
-    }
-    for (const RowFill& f : fills) {
-      std::uint32_t drv = f.drv;
-      while (drv != 0) {
-        const int j = __builtin_ctz(drv);
-        out[static_cast<std::size_t>(j) * pw + f.widx] |= f.mask;
-        drv &= drv - 1;
-      }
-    }
-    merge_max(max_segment, chunk_max);
+  run_chunked(exec, n, g.plane_words() * fills, [&](std::size_t r_begin, std::size_t r_end) {
+    merge_max(max_segment, row_broadcast_rows(n, ring, east, src, fills, open, out, driven,
+                                              r_begin, r_end));
   });
   return max_segment.load(std::memory_order_relaxed);
 }
@@ -656,12 +452,12 @@ std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction
         const auto& head = *(it + 1);
         v = v || any_in_col_range(g, src, r, head.clo, head.chi);
         if (v) {
-          fill_col_range(g, r, it->clo, it->chi, 1u, pw, out, nullptr);
-          fill_col_range(g, r, head.clo, head.chi, 1u, pw, out, nullptr);
+          fill_col_range(g, out, r, it->clo, it->chi);
+          fill_col_range(g, out, r, head.clo, head.chi);
         }
         ++it;
       } else if (v) {
-        fill_col_range(g, r, it->clo, it->chi, 1u, pw, out, nullptr);
+        fill_col_range(g, out, r, it->clo, it->chi);
       }
     }
   });
@@ -764,7 +560,10 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
                              BroadcastPlan& plan) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  stamp_plan_key(g, topology, dir, open, plan);
+  plan.open.assign(open, open + g.plane_words());
+  plan.n = n;
+  plan.topology = static_cast<std::uint8_t>(topology);
+  plan.dir = static_cast<std::uint8_t>(dir);
   plan.col_have.resize(n * rw);
   plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
   PlaneWord* have_k = plan.col_have.data();

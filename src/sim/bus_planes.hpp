@@ -7,12 +7,14 @@
 // and bit-plane backends (tests/sim_bus_planes_test.cpp fuzzes exactly
 // this equivalence, with bus.cpp as the oracle).
 //
-// Row buses (East/West) stream each row's Open bits in flow order and fill
-// whole receiving intervals with word-masked ORs; rows with zero or (on a
-// ring) one Open switch — the minimum-cost-path solver's steady state —
-// collapse to whole-row fills. Column buses (South/North) are resolved 64
-// lines at a time with vertical scans whose inner loop runs across the
-// row's words, so the compiler vectorizes the 64-lane bit arithmetic.
+// Row broadcasts (East/West) are segmented copies in word-parallel time: a
+// carry-chained addition (East) or a 6-step copy-down scan (West) fills a
+// row in O(row_words) word operations per plane, whatever the number of
+// drivers; rows with zero or (on a ring) one Open switch collapse to
+// whole-row fills. Row wired-OR streams each row's Open bits and ORs whole
+// segments. Column buses (South/North) are resolved 64 lines at a time
+// with vertical scans whose inner loop runs across the row's words, so the
+// compiler vectorizes the 64-lane bit arithmetic.
 //
 // Each entry point takes an optional PlaneBusExec: a thread pool to chunk
 // the cycle over (rows for the row axis, word-columns for the column axis
@@ -20,11 +22,13 @@
 // max_segment partials merge with max, which is order-independent, so
 // results and step counts are bit-identical for every pool size) and a
 // scratch block that keeps the column resolvers allocation-free across
-// cycles. Unchunked broadcasts with a scratch additionally memoize their
-// switch decomposition in an 8-deep LRU plan cache (BroadcastPlanCache
-// below), so repeat cycles on a recently seen configuration skip the
-// resolution pass entirely — results and max_segment are identical either
-// way (tests/sim_bus_planes_test.cpp fuzzes cached vs. cold).
+// cycles. Unchunked column broadcasts with a scratch additionally memoize
+// their switch decomposition in an 8-deep LRU plan cache
+// (BroadcastPlanCache below), so repeat cycles on a recently seen
+// configuration skip the resolution pass entirely — results and
+// max_segment are identical either way (tests/sim_bus_planes_test.cpp
+// fuzzes cached vs. cold). Row broadcasts derive everything per cycle and
+// never consult the cache.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +67,10 @@ struct RowWiredOrPlan {
   std::size_t max_segment = 0;
 };
 
-/// Memoized decomposition of one BROADCAST switch configuration (the
-/// wired-OR twin is RowWiredOrPlan above). Everything a broadcast cycle
-/// derives from the switches alone is cached: the driven plane, the
-/// max_segment, and either the per-row fill segments (row axis; driver
-/// VALUES are src-dependent and re-derived per cycle from the recorded
-/// driver columns) or the vertical-scan products (column axis).
+/// Memoized decomposition of one COLUMN broadcast switch configuration (the
+/// row wired-OR twin is RowWiredOrPlan above). Everything the cycle derives
+/// from the switches alone is cached: the driven plane, the max_segment and
+/// the vertical-scan products.
 struct BroadcastPlan {
   // Key: exact switch configuration. n == 0 marks an empty slot.
   std::vector<PlaneWord> open;
@@ -76,35 +78,20 @@ struct BroadcastPlan {
   std::uint8_t topology = 0;
   std::uint8_t dir = 0;
   std::uint64_t stamp = 0;  // LRU clock of the owning cache
-  // Configuration-only products shared by both axes.
   std::size_t max_segment = 0;
   std::vector<PlaneWord> driven;  // plane_words
-  // Row-axis payload: rows whose single ring driver covers the whole
-  // line, and the general segments as inclusive column ranges.
-  struct RowDrive {
-    std::uint32_t row;
-    std::uint32_t col;
-  };
-  struct RowSeg {
-    std::uint32_t row;
-    std::uint32_t col;  // column of the switch driving [clo, chi]
-    std::uint32_t clo;
-    std::uint32_t chi;
-  };
-  std::vector<RowDrive> whole_rows;
-  std::vector<RowSeg> segs;
-  // Column-axis payload: pass-1 scan state per flow row (see
-  // column_broadcast), indexed [k * row_words + w].
+  // Pass-1 scan state per flow row (see column_broadcast), indexed
+  // [k * row_words + w].
   std::vector<PlaneWord> col_have;
   std::vector<PlaneWord> col_pend;
   std::size_t k_stop = 0;
 };
 
-/// 8-deep LRU cache of broadcast decompositions. The minimum-cost-path
-/// kernels rotate through a handful of switch configurations (carrier
-/// row, diagonal, row end — per scheme and per panel), so a shallow
-/// exact-key cache absorbs nearly every resolution after the first
-/// sweep; hits/misses surface as bus.plan_cache.* in ppa.metrics.v1.
+/// 8-deep LRU cache of column broadcast decompositions. The
+/// minimum-cost-path kernels rotate through a handful of column switch
+/// configurations (carrier row and diagonal, per scheme and per panel), so
+/// a shallow exact-key cache absorbs nearly every resolution after the
+/// first sweep; hits/misses surface as bus.plan_cache.* in ppa.metrics.v1.
 struct BroadcastPlanCache {
   static constexpr std::size_t kDepth = 8;
   BroadcastPlan slots[kDepth];
@@ -112,10 +99,12 @@ struct BroadcastPlanCache {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   // Second-chance filter: a configuration is only planned once it has been
-  // seen twice (the minimum-variant kernels issue data-dependent
-  // configurations that never repeat — planning those would evict live
-  // plans and pay recording cost for nothing). First sight leaves a hash
-  // here; the cycle itself runs the plain resolver untouched.
+  // seen twice. The carrier-row and diagonal broadcasts repeat, but a
+  // column broadcast whose switches are computed from data (a ppc min or
+  // selected_min routed along a column, whose route_and_spread enables
+  // never repeat) would evict live plans and pay recording cost for
+  // nothing. First sight leaves a hash here; the cycle itself runs the
+  // plain resolver untouched.
   static constexpr std::size_t kSeen = 16;
   std::uint64_t seen[kSeen] = {};
   std::size_t seen_next = 0;

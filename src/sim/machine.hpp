@@ -296,9 +296,9 @@ class Machine {
   /// their sweeps over it.
   [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
 
-  /// Cumulative hit/miss counters of this machine's broadcast-decomposition
-  /// plan cache (sim::BroadcastPlanCache — bit-plane backend only; the word
-  /// backend never consults it). Solvers report the per-run delta as
+  /// Cumulative hit/miss counters of this machine's column-broadcast plan
+  /// cache (sim::BroadcastPlanCache — bit-plane backend only; row
+  /// broadcasts and the word backend never consult it). Solvers report the per-run delta as
   /// bus.plan_cache.hits / bus.plan_cache.misses in ppa.metrics.v1.
   struct PlanCacheStats {
     std::uint64_t hits = 0;

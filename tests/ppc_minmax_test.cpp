@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "ppc/primitives.hpp"
 #include "util/rng.hpp"
@@ -21,7 +22,9 @@ sim::MachineConfig config_of(std::size_t n, int bits) {
 
 struct MaxCase {
   std::size_t n;
-  int bits;
+  // 64-bit so the struct has no padding: gtest names each case by the
+  // raw bytes of the struct, and padding bytes are uninitialized.
+  std::int64_t bits;
   std::uint64_t seed;
 };
 
@@ -29,7 +32,7 @@ class MaxSweep : public ::testing::TestWithParam<MaxCase> {};
 
 TEST_P(MaxSweep, PmaxMatchesHostRowMaximum) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed);
 
@@ -54,7 +57,7 @@ TEST_P(MaxSweep, PmaxMatchesHostRowMaximum) {
 
 TEST_P(MaxSweep, SelectedMaxRespectsSelection) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed ^ 0xABCD);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <tuple>
 
 #include "util/rng.hpp"
@@ -157,7 +158,9 @@ TEST(Any, GlobalOrLine) {
 
 struct MinCase {
   std::size_t n;
-  int bits;
+  // 64-bit so the struct has no padding: gtest names each case by the
+  // raw bytes of the struct, and padding bytes are uninitialized.
+  std::int64_t bits;
   std::uint64_t seed;
 };
 
@@ -165,7 +168,7 @@ class MinSweep : public ::testing::TestWithParam<MinCase> {};
 
 TEST_P(MinSweep, PminMatchesHostRowMinimum) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed);
 
@@ -190,7 +193,7 @@ TEST_P(MinSweep, PminMatchesHostRowMinimum) {
 
 TEST_P(MinSweep, SelectedMinMatchesHostArgmin) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed ^ 0xBEEF);
 
