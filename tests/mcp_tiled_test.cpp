@@ -14,6 +14,8 @@
 
 #include "graph/generators.hpp"
 #include "mcp/allpairs.hpp"
+#include "mcp/batch.hpp"
+#include "mcp/closure.hpp"
 #include "mcp/mcp.hpp"
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
@@ -340,6 +342,172 @@ TEST(McpTiled, NonConvergenceReportedLikeFullArray) {
   ASSERT_EQ(tiled.fault_events.size(), 1u);
   EXPECT_EQ(tiled.fault_events[0].kind, sim::FaultEventKind::NonConvergence);
 }
+
+// ---- Sweep step profiles -------------------------------------------------
+//
+// Exact step profiles of the virtualized sweeps on fixed seeds: the full
+// StepCounter summary (plus the Log-delay re-costing, which sees every bus
+// cycle's max segment), iterations, visited / skipped panels, active
+// blocks, the ledger's saved beats and the panel span counts. The dense
+// formulas above only pin the dense schedule and the ledger's closure;
+// these pins also fix the exact charge under the active schedule (which
+// visits are skipped, which load beats the double buffer hides) for the
+// tiled MCP sweep (both min variants, both broadcast schemes), the batched
+// sweep (k = 4 on a tiled geometry) and the tiled boolean reachability.
+// Every case runs on both backends and must produce the same profile.
+
+enum class SweepKind { Tiled, Batched, Reach };
+enum class SweepGraph { Cliques, PowerLaw };
+
+struct SweepCase {
+  const char* name;
+  SweepKind kind;
+  SweepGraph family;
+  bool active;
+  mcp::MinVariant variant;
+  mcp::BroadcastScheme scheme;
+  const char* expected;
+};
+
+// gtest prints a parameter into the ctest name; print the case name, not
+// the struct's bytes (its pointer and padding differ between runs).
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+
+graph::WeightMatrix sweep_graph(SweepGraph family) {
+  util::Rng rng(2024);
+  return family == SweepGraph::Cliques ? graph::ring_of_cliques(5, 8, 10, {1, 20}, rng)
+                                       : graph::power_law(37, 10, 2, 0.3, {1, 20}, rng);
+}
+
+std::string sweep_profile(const SweepCase& c, sim::ExecBackend backend) {
+  const graph::WeightMatrix g = sweep_graph(c.family);
+  const std::size_t p = 8;
+  std::ostringstream os;
+  if (c.kind == SweepKind::Reach) {
+    mcp::ClosureOptions options;
+    options.backend = backend;
+    options.array_side = p;
+    options.active_panels = c.active;
+    const mcp::ReachabilityResult r = mcp::solve_reachability(g, 3, options);
+    os << r.total_steps.summary()
+       << " log=" << r.total_steps.total_under(sim::BusDelayModel::Log)
+       << " iters=" << r.iterations << " visited=" << r.panels_visited
+       << " skipped=" << r.panels_skipped << " saved=" << r.panel_io_saved;
+    return os.str();
+  }
+
+  obs::Collector collector;
+  mcp::Options options;
+  options.backend = backend;
+  options.array_side = p;
+  options.active_panels = c.active;
+  options.min_variant = c.variant;
+  options.broadcast_scheme = c.scheme;
+  options.observer = &collector;
+  sim::StepCounter steps;
+  std::string iters;
+  if (c.kind == SweepKind::Tiled) {
+    const mcp::Result r = mcp::solve(g, 3, options);
+    steps = r.total_steps;
+    iters = std::to_string(r.iterations);
+  } else {
+    options.batch_width = 4;
+    const std::vector<graph::Vertex> dests = {0, 3, 17, 30};
+    const std::vector<mcp::Result> runs = mcp::solve_batch(g, dests, options);
+    steps = runs.front().total_steps;
+    for (const mcp::Result& r : runs) {
+      iters += (iters.empty() ? "" : ",") + std::to_string(r.iterations);
+    }
+  }
+  std::size_t loads = 0, relaxes = 0;
+  for (const obs::SpanRecord& span : collector.spans()) {
+    if (span.name == "panel_load") ++loads;
+    if (span.name == "panel_relax") ++relaxes;
+  }
+  const auto counter = [&](const char* name) {
+    return collector.metrics().counter(name).value();
+  };
+  os << steps.summary() << " log=" << steps.total_under(sim::BusDelayModel::Log)
+     << " iters=" << iters << " visited=" << counter(obs::metric::kSolverPanels)
+     << " skipped=" << counter(obs::metric::kSolverPanelsSkipped)
+     << " active_blocks=" << counter(obs::metric::kSolverActiveBlocks)
+     << " saved=" << counter(obs::metric::kSolverPanelIoSaved) << " spans=" << loads
+     << "/" << relaxes;
+  return os.str();
+}
+
+class SweepProfilePin : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(SweepProfilePin, ExactOnBothBackends) {
+  const SweepCase& c = GetParam();
+  EXPECT_EQ(sweep_profile(c, sim::ExecBackend::BitPlane), c.expected);
+  EXPECT_EQ(sweep_profile(c, sim::ExecBackend::Words), c.expected);
+}
+
+constexpr auto kPaper = mcp::MinVariant::Paper;
+constexpr auto kOrProbe = mcp::MinVariant::OrProbe;
+constexpr auto kRing = mcp::BroadcastScheme::SingleRing;
+constexpr auto kTwoSided = mcp::BroadcastScheme::TwoSidedLinear;
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, SweepProfilePin,
+    ::testing::Values(
+        SweepCase{"TiledPaperActive", SweepKind::Tiled, SweepGraph::Cliques,
+                  true, kPaper, kRing,
+                  "steps=26180 alu=21860 bus_bcast=775 bus_or=3100 panel_io=445 log=37490"
+                  " iters=15 visited=155 skipped=220 active_blocks=31 saved=3680 spans=155/155"},
+        SweepCase{"TiledPaperDense", SweepKind::Tiled, SweepGraph::Cliques,
+                  false, kPaper, kRing,
+                  "steps=66380 alu=52880 bus_bcast=1875 bus_or=7500 panel_io=4125 log=93722"
+                  " iters=15 visited=375 skipped=0 active_blocks=0 saved=0 spans=375/375"},
+        SweepCase{"TiledPaperActivePowerLaw", SweepKind::Tiled, SweepGraph::PowerLaw,
+                  true, kPaper, kRing,
+                  "steps=17690 alu=14810 bus_bcast=525 bus_or=2100 panel_io=255 log=25481"
+                  " iters=5 visited=105 skipped=20 active_blocks=21 saved=1120 spans=105/105"},
+        SweepCase{"TiledOrProbeActive", SweepKind::Tiled, SweepGraph::PowerLaw,
+                  true, kOrProbe, kRing,
+                  "steps=23360 alu=20900 bus_bcast=105 bus_or=2100 panel_io=255 log=29975"
+                  " iters=5 visited=105 skipped=20 active_blocks=21 saved=1120 spans=105/105"},
+        SweepCase{"TiledOrProbeDense", SweepKind::Tiled, SweepGraph::PowerLaw,
+                  false, kOrProbe, kRing,
+                  "steps=28880 alu=24880 bus_bcast=125 bus_or=2500 panel_io=1375 log=36755"
+                  " iters=5 visited=125 skipped=0 active_blocks=0 saved=0 spans=125/125"},
+        SweepCase{"TiledTwoSidedActive", SweepKind::Tiled, SweepGraph::PowerLaw,
+                  true, kPaper, kTwoSided,
+                  "steps=23675 alu=21110 bus_bcast=210 bus_or=2100 panel_io=255 log=30605"
+                  " iters=5 visited=105 skipped=20 active_blocks=21 saved=1120 spans=105/105"},
+        SweepCase{"TiledTwoSidedDense", SweepKind::Tiled, SweepGraph::Cliques,
+                  false, kPaper, kTwoSided,
+                  "steps=87755 alu=75380 bus_bcast=750 bus_or=7500 panel_io=4125 log=112505"
+                  " iters=15 visited=375 skipped=0 active_blocks=0 saved=0 spans=375/375"},
+        SweepCase{"BatchedActive", SweepKind::Batched, SweepGraph::PowerLaw,
+                  true, kPaper, kRing,
+                  "steps=36920 alu=29680 bus_bcast=360 bus_or=5760 panel_io=1120 log=55280"
+                  " iters=3,5,4,5 visited=125 skipped=0 active_blocks=25 saved=1155 spans=125/125"},
+        SweepCase{"BatchedDense", SweepKind::Batched, SweepGraph::PowerLaw,
+                  false, kPaper, kRing,
+                  "steps=44510 alu=35010 bus_bcast=425 bus_or=6800 panel_io=2275 log=66185"
+                  " iters=3,5,4,5 visited=125 skipped=0 active_blocks=0 saved=0 spans=125/125"},
+        SweepCase{"BatchedActiveCliques", SweepKind::Batched, SweepGraph::Cliques,
+                  true, kPaper, kRing,
+                  "steps=62710 alu=50390 bus_bcast=610 bus_or=9760 panel_io=1950 log=93820"
+                  " iters=14,15,14,15 visited=335 skipped=40 active_blocks=67"
+                  " saved=5400 spans=335/335"},
+        SweepCase{"ReachActive", SweepKind::Reach, SweepGraph::Cliques,
+                  true, kPaper, kRing,
+                  "steps=811 alu=199 bus_bcast=65 bus_or=65 panel_io=482 log=1201"
+                  " iters=9 visited=65 skipped=160 saved=1768"},
+        SweepCase{"ReachDense", SweepKind::Reach, SweepGraph::Cliques,
+                  false, kPaper, kRing,
+                  "steps=3379 alu=679 bus_bcast=225 bus_or=225 panel_io=2250 log=4729"
+                  " iters=9 visited=225 skipped=0 saved=0"},
+        SweepCase{"ReachActivePowerLaw", SweepKind::Reach, SweepGraph::PowerLaw,
+                  true, kPaper, kRing,
+                  "steps=1279 alu=319 bus_bcast=105 bus_or=105 panel_io=750 log=1909"
+                  " iters=5 visited=105 skipped=20 saved=500"}),
+    [](const ::testing::TestParamInfo<SweepCase>& sweep) {
+      return std::string(sweep.param.name);
+    });
 
 }  // namespace
 }  // namespace ppa
