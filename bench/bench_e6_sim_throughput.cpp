@@ -11,7 +11,7 @@
 
 #include "bench_common.hpp"
 #include "mcp/allpairs.hpp"
-#include "ppc/plane_kernels.hpp"
+#include "sim/plane_kernels.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -34,7 +34,7 @@ const char* simd_name(sim::ExecBackend backend) {
   // The word backend never touches the plane kernels; "none" keeps its
   // records distinguishable from a bitplane run forced to scalar.
   if (backend != sim::ExecBackend::BitPlane) return "none";
-  return ppc::plane_kernels::variant_name(ppc::plane_kernels::active_variant());
+  return sim::plane_kernels::variant_name(sim::plane_kernels::active_variant());
 }
 
 /// Measurement repeats per configuration (PPA_BENCH_BEST_OF, default 1;

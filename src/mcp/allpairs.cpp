@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "mcp/batch.hpp"
+#include "mcp/relax_core.hpp"
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
 #include "ppc/primitives.hpp"
@@ -102,27 +103,15 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const Options& option
 }
 
 std::size_t AllPairsResult::failed_destinations() const noexcept {
-  std::size_t failed = 0;
-  for (const SolveOutcome outcome : outcomes) {
-    if (outcome == SolveOutcome::VerificationFailed ||
-        outcome == SolveOutcome::NonConverged || outcome == SolveOutcome::HardwareFault) {
-      ++failed;
-    }
-  }
-  return failed;
+  return static_cast<std::size_t>(std::count_if(outcomes.begin(), outcomes.end(), retriable));
 }
 
 AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions& options) {
   const std::size_t n = graph.size();
-  sim::MachineConfig config;
   // Worker machines honor Options::array_side: p < n runs every
   // destination through the tiled sweep (solve_with_recovery dispatches
   // on the machine geometry).
-  config.n = effective_array_side(options.mcp, n);
-  config.bits = graph.field().bits();
-  config.backend = options.mcp.backend;
-  config.checked = options.mcp.checked || !options.mcp.faults.empty();
-  config.masking = masking_of(options.mcp.recovery);
+  const sim::MachineConfig config = detail::solver_machine_config(graph, options.mcp);
 
   AllPairsResult result;
   result.n = n;
@@ -131,64 +120,36 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
   result.outcomes.assign(n, SolveOutcome::Unchecked);
   result.attempts.assign(n, 1);
 
-  // Each destination is an independent problem; a worker runs a contiguous
-  // chunk of destinations on its own simulated machine and records each
-  // run's step delta separately. Workers write disjoint columns of
-  // dist/next and disjoint slots of the per-destination arrays, so no
-  // synchronization is needed beyond the pool's join. A destination whose
-  // final outcome is still a failure keeps its infinity-filled dist column
-  // — the batch degrades per destination instead of aborting.
+  // Destinations run in GLOBAL groups: each group is one solve_batch_on
+  // call on its worker's machine, and a worker runs a contiguous range of
+  // groups. Multi-destination batching (mcp/batch.hpp, docs/batching.md)
+  // makes the groups batch_width wide under the BitPlane backend; otherwise
+  // every group is one destination on the per-destination engine (the word
+  // backend keeps that path and remains the differential oracle). Group
+  // composition never depends on the worker count, so results, outcomes
+  // and merged metrics stay worker-count independent. Workers write
+  // disjoint columns of dist/next and disjoint slots of the per-destination
+  // arrays, so no synchronization is needed beyond the pool's join. A
+  // destination whose final outcome is still a failure keeps its
+  // infinity-filled dist column — the run degrades per destination instead
+  // of aborting.
+  const bool batched = options.mcp.batch_width > 1 && n > 1 &&
+                       options.mcp.backend == sim::ExecBackend::BitPlane;
+  const std::size_t width = batched ? options.mcp.batch_width : 1;
   std::vector<sim::StepCounter> per_destination(n);
   std::vector<std::size_t> iterations(n, 0);
   std::vector<std::vector<sim::FaultEvent>> events(n);
-  // One collector per destination, merged below in destination order —
-  // the StepCounter idiom extended to metrics, so the observed totals are
+  // One collector per group, merged below in destination order — the
+  // StepCounter idiom extended to metrics, so the observed totals are
   // identical for every worker count.
   obs::Collector* const observer = options.mcp.observer;
   std::vector<std::unique_ptr<obs::Collector>> collectors(observer != nullptr ? n : 0);
-  const auto run_range = [&](std::size_t begin, std::size_t end) {
-    sim::Machine machine(config);
-    if (!options.mcp.faults.empty()) machine.inject_faults(options.mcp.faults);
-    std::unique_ptr<sim::Machine> oracle;  // shared across this worker's chunk
-    Options run_options = options.mcp;
-    for (std::size_t d = begin; d < end; ++d) {
-      if (observer != nullptr) {
-        collectors[d] = std::make_unique<obs::Collector>();
-        run_options.observer = collectors[d].get();
-      }
-      const sim::StepCounter before = machine.steps();
-      const sim::StepCounter oracle_before = oracle ? oracle->steps() : sim::StepCounter{};
-      const Result run = solve_with_recovery(machine, oracle, graph, d, run_options);
-      per_destination[d] = machine.steps().since(before);
-      if (oracle) per_destination[d].merge(oracle->steps().since(oracle_before));
-      iterations[d] = run.iterations;
-      result.outcomes[d] = run.outcome;
-      result.attempts[d] = run.attempts;
-      events[d] = run.fault_events;
-      // An aborted attempt already reports an all-infinity column, so the
-      // unconditional copy preserves the degradation default.
-      for (graph::Vertex i = 0; i < n; ++i) {
-        result.dist[i * n + d] = run.solution.cost[i];
-        result.next[i * n + d] = run.solution.next[i];
-      }
-    }
-  };
-
-  // Multi-destination batching (mcp/batch.hpp, docs/batching.md): with
-  // batch_width > 1 under the BitPlane backend the destinations are
-  // partitioned into GLOBAL groups of at most batch_width — group
-  // composition never depends on the worker count, so results, outcomes
-  // and merged metrics stay worker-count independent — and each group
-  // rides one shared machine pass. The word backend keeps the
-  // per-destination path above and remains the differential oracle.
-  const std::size_t width = options.mcp.batch_width;
-  const bool batched =
-      width > 1 && n > 1 && options.mcp.backend == sim::ExecBackend::BitPlane;
   const auto run_groups = [&](std::size_t gbegin, std::size_t gend) {
     sim::Machine machine(config);
     if (!options.mcp.faults.empty()) machine.inject_faults(options.mcp.faults);
     std::unique_ptr<sim::Machine> oracle;  // shared across this worker's groups
     Options run_options = options.mcp;
+    run_options.batch_width = width;
     for (std::size_t g = gbegin; g < gend; ++g) {
       const std::size_t first = g * width;
       const std::size_t last = std::min(first + width, n);
@@ -203,8 +164,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
       const sim::StepCounter oracle_before = oracle ? oracle->steps() : sim::StepCounter{};
       const std::vector<Result> runs =
           solve_batch_on(machine, oracle, graph, dests, run_options);
-      // The group's machine pass is shared; its step delta is counted
-      // ONCE, on the group's first destination slot (docs/batching.md).
+      // A group's machine pass is shared; its step delta is counted ONCE,
+      // on the group's first destination slot (docs/batching.md).
       per_destination[first] = machine.steps().since(before);
       if (oracle) per_destination[first].merge(oracle->steps().since(oracle_before));
       for (std::size_t gi = 0; gi < runs.size(); ++gi) {
@@ -214,6 +175,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
         result.outcomes[d] = run.outcome;
         result.attempts[d] = run.attempts;
         events[d] = run.fault_events;
+        // An aborted attempt already reports an all-infinity column, so the
+        // unconditional copy preserves the degradation default.
         for (graph::Vertex i = 0; i < n; ++i) {
           result.dist[i * n + d] = run.solution.cost[i];
           result.next[i * n + d] = run.solution.next[i];
@@ -222,19 +185,12 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
     }
   };
 
-  if (batched) {
-    const std::size_t groups = (n + width - 1) / width;
-    if (options.workers > 1 && groups > 1) {
-      util::ThreadPool pool(std::min(options.workers, groups));
-      pool.parallel_for(groups, run_groups);
-    } else {
-      run_groups(0, groups);
-    }
-  } else if (options.workers > 1 && n > 1) {
-    util::ThreadPool pool(std::min(options.workers, n));
-    pool.parallel_for(n, run_range);
+  const std::size_t groups = (n + width - 1) / width;
+  if (options.workers > 1 && groups > 1) {
+    util::ThreadPool pool(std::min(options.workers, groups));
+    pool.parallel_for(groups, run_groups);
   } else {
-    run_range(0, n);
+    run_groups(0, groups);
   }
 
   // Deterministic reduction: merge in destination order, whatever the
@@ -245,8 +201,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
     result.total_iterations += iterations[d];
     result.fault_events.insert(result.fault_events.end(), events[d].begin(),
                                events[d].end());
-    // Batched runs keep one collector per GROUP (stored at the group's
-    // first destination); the other slots stay empty.
+    // One collector per GROUP (stored at the group's first destination);
+    // the other slots of a batched run stay empty.
     if (observer != nullptr && collectors[d] != nullptr) observer->merge(*collectors[d]);
   }
   for (const graph::Weight w : result.dist) {

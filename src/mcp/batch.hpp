@@ -1,24 +1,21 @@
 // Multi-destination plane batching: k destinations per machine pass.
 //
-// The single-destination solvers (mcp.cpp, tiled.cpp) pay the full sweep
-// machinery — weight panel loads, carrier broadcasts, bus segmentation —
-// for ONE destination's row of the all-pairs matrix. But destinations are
-// independent columns of the same DP over the same weight matrix: the
-// panel schedule, the switch configurations and the wired-OR segmentation
-// depend only on the geometry, never on d. solve_batch exploits that by
-// running up to Options::batch_width destinations through one shared
-// sweep schedule:
+// The per-destination solvers pay the full sweep machinery — weight panel
+// loads, carrier broadcasts, bus segmentation — for ONE destination's row
+// of the all-pairs matrix. But destinations are independent columns of the
+// same DP over the same weight matrix: the panel schedule, the switch
+// configurations and the wired-OR segmentation depend only on the
+// geometry, never on d. solve_batch runs up to Options::batch_width
+// destinations as the lanes of one panel-sweep driver run
+// (panel_sweep.hpp; the full array is the 1-block case):
 //
 //   * the weight panel is loaded (and billed as PanelIo) once per panel
 //     visit, not once per destination;
-//   * every batch member rides the panel with its own SOW plane group —
-//     fragment injection, carrier broadcast, candidate add and a fused
-//     bit-serial min/argmin — under the same bus plans (which the
-//     broadcast plan cache then serves from memory);
-//   * iteration control is host-side: a member freezes the moment its own
-//     row stops changing (its iteration count is recorded exactly as the
-//     per-destination engine would), and the pass ends when ALL members
-//     have converged.
+//   * every live lane rides the panel with its own SOW fragment and a
+//     FUSED bit-serial min/argmin under the same bus plans;
+//   * convergence is host-side: a lane freezes the moment its own row
+//     stops changing (its iteration count is exactly the per-destination
+//     engine's), and the pass ends when all lanes have.
 //
 // Rows, per-destination iteration counts and outcomes are bit-identical
 // to the per-destination engine on both backends, full and tiled
@@ -27,7 +24,7 @@
 //
 // Robustness: a member whose run fails (VerificationFailed, NonConverged,
 // HardwareFault) retries ALONE on a fault-free word-backend oracle of the
-// same geometry, without re-running the rest of the batch
+// same geometry, through the same recovery loop as solve()
 // (tests/mcp_batch_fault_test.cpp).
 #pragma once
 

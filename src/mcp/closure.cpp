@@ -1,8 +1,9 @@
 #include "mcp/closure.hpp"
 
 #include <algorithm>
+#include <optional>
 
-#include "mcp/relax_core.hpp"
+#include "mcp/panel_sweep.hpp"
 #include "ppc/primitives.hpp"
 #include "util/check.hpp"
 
@@ -16,37 +17,35 @@ using sim::Direction;
 using sim::Flag;
 using sim::Word;
 
-/// The boolean adjacency loaded into the PEs: hasEdge(i,j), diagonal true
-/// (the j == i term preserves R_i across iterations, mirroring the MCP's
-/// zero diagonal).
-std::vector<Flag> adjacency_flags(const graph::WeightMatrix& g) {
+/// Adjacency panel (base_r, base_c) as loaded into a p x p array:
+/// hasEdge(i,j) with the diagonal true (the j == i term preserves R_i
+/// across iterations, mirroring the MCP's zero diagonal) and padding rows /
+/// columns false (they contribute nothing to a wired-OR). The dense DP
+/// loads the single n x n panel.
+std::vector<Flag> adjacency_panel(const graph::WeightMatrix& g, std::size_t p,
+                                  std::size_t base_r, std::size_t base_c) {
   const std::size_t n = g.size();
-  std::vector<Flag> flags(n * n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      flags[i * n + j] = (i == j || g.has_edge(i, j)) ? Flag{1} : Flag{0};
+  std::vector<Flag> flags(p * p, 0);
+  for (std::size_t r = 0; r < p && base_r + r < n; ++r) {
+    for (std::size_t c = 0; c < p && base_c + c < n; ++c) {
+      const std::size_t gi = base_r + r;
+      const std::size_t gj = base_c + c;
+      flags[r * p + c] = (gi == gj || g.has_edge(gi, gj)) ? Flag{1} : Flag{0};
     }
   }
   return flags;
 }
 
-/// Host view of adjacency panel (base_r, base_c) on a p x p machine: the
-/// boolean twin of detail::panel_weights — diagonal reflexive, padding
-/// rows/columns false (they contribute nothing to a wired-OR).
-std::vector<Flag> panel_adjacency(const graph::WeightMatrix& g, std::size_t p,
-                                  std::size_t base_r, std::size_t base_c) {
-  const std::size_t n = g.size();
-  std::vector<Flag> flags(p * p, 0);
-  for (std::size_t r = 0; r < p; ++r) {
-    const std::size_t gi = base_r + r;
-    if (gi >= n) break;
-    for (std::size_t c = 0; c < p; ++c) {
-      const std::size_t gj = base_c + c;
-      if (gj >= n) break;
-      flags[r * p + c] = (gi == gj || g.has_edge(gi, gj)) ? Flag{1} : Flag{0};
-    }
-  }
-  return flags;
+/// The machine the one-shot drivers build: array_side clamped to [1, n],
+/// with 0 meaning the dense n x n array.
+sim::MachineConfig closure_machine(const graph::WeightMatrix& graph,
+                                   const ClosureOptions& options) {
+  const std::size_t n = graph.size();
+  sim::MachineConfig config;
+  config.n = options.array_side == 0 ? n : std::min(options.array_side, n);
+  config.bits = graph.field().bits();
+  config.backend = options.backend;
+  return config;
 }
 
 /// The dense boolean DP: machine side == vertex count, adjacency resident.
@@ -58,7 +57,7 @@ ReachabilityResult full_reachability(sim::Machine& machine, const graph::WeightM
   ppc::Context ctx(machine);
   const sim::StepCounter at_entry = machine.steps();
 
-  const Pbool EDGE(ctx, adjacency_flags(graph));
+  const Pbool EDGE(ctx, adjacency_panel(graph, n, 0, 0));
   const Pint ROW = ppc::row_of(ctx);
   const Pint COL = ppc::col_of(ctx);
   const Word d = static_cast<Word>(destination);
@@ -107,16 +106,79 @@ ReachabilityResult full_reachability(sim::Machine& machine, const graph::WeightM
   return result;
 }
 
+/// The tiled reachability visit (panel_sweep.hpp): one boolean lane. A
+/// panel load moves the p adjacency rows plus the reach fragment on the
+/// carrier row — p + 1 beats the ledger may hide; the relax phase is one
+/// column broadcast and ONE wired-OR, and the OR line is cluster-wide, so
+/// the readback is 1 beat off column 0. Partials OR-fold host-side; reach
+/// growth is monotone (the reflexive diagonal keeps every set bit), so the
+/// active-panel schedule is exact for the same Jacobi reason as the MCP's.
+class ReachVisit {
+ public:
+  using Cell = std::uint8_t;
+  static constexpr bool kPinDestination = false;
+
+  ReachVisit(ppc::Context& ctx, const graph::WeightMatrix& graph)
+      : shared_beats(static_cast<std::uint64_t>(ctx.machine().n()) + 1),
+        ctx_(ctx),
+        n_(graph.size()),
+        p_(ctx.machine().n()),
+        blocks_((n_ + p_ - 1) / p_),
+        carrier_(ppc::row_of(ctx) == Word{0}),
+        row_end_(ppc::col_of(ctx) == static_cast<Word>(p_ - 1)),
+        fragment_(p_ * p_, 0) {
+    // Host views of the adjacency panels, built once.
+    for (std::size_t bi = 0; bi < blocks_; ++bi) {
+      for (std::size_t bj = 0; bj < blocks_; ++bj) {
+        panels_.push_back(adjacency_panel(graph, p_, bi * p_, bj * p_));
+      }
+    }
+  }
+
+  const std::uint64_t shared_beats;
+  static constexpr std::uint64_t lane_beats = 1;
+
+  [[nodiscard]] Cell identity() const { return 0; }
+  static void fold(Cell& carry, const Cell& value) { carry |= value; }
+  static bool differs(const Cell& next, const Cell& state) { return next != state; }
+  void exhausted(const detail::SweepLane<Cell>& lane) {
+    PPA_REQUIRE(lane.converged, "reachability failed to converge within the iteration cap");
+  }
+
+  void load(std::size_t bi, std::size_t bj,
+            const std::vector<detail::SweepLane<Cell>>& lanes) {
+    const std::vector<Cell>& reach = lanes.front().state;
+    for (std::size_t c = 0; c < p_; ++c) {
+      const std::size_t gj = bj * p_ + c;
+      fragment_[c] = (gj < n_ && reach[gj] != 0) ? Flag{1} : Flag{0};
+    }
+    edges_.emplace(ctx_, panels_[bi * blocks_ + bj]);
+    reach_.emplace(ctx_, fragment_);
+  }
+
+  void relax(detail::SweepLane<Cell>& /*lane*/, std::size_t /*bi*/, std::size_t /*bj*/,
+             Cell* out, std::size_t bh) {
+    const Pbool r_by_col = ppc::broadcast(*reach_, Direction::South, carrier_);
+    const Pbool new_r = ppc::bus_or(*edges_ & r_by_col, Direction::West, row_end_);
+    ctx_.machine().charge_panel_io(lane_beats);
+    for (std::size_t r = 0; r < bh; ++r) out[r] = new_r.at(r, 0) ? 1 : 0;
+  }
+
+ private:
+  ppc::Context& ctx_;
+  std::size_t n_, p_, blocks_;
+  const Pbool carrier_, row_end_;
+  std::vector<std::vector<Flag>> panels_;
+  std::vector<Flag> fragment_;
+  std::optional<Pbool> edges_, reach_;
+};
+
 /// The virtualized boolean DP (docs/tiling.md): the reach row lives with
-/// the controller as a host n-vector, each iteration sweeps the
-/// ceil(n/p)^2 adjacency panels in Jacobi order (every panel reads LAST
-/// iteration's reach fragment), and row-block partials are OR-folded
-/// host-side. A panel visit costs p+2 PanelIo beats: the p adjacency rows
-/// + 1 reach fragment in, 1 wired-OR column readback out. Convergence is
-/// the host's comparison of the folded row against the previous one — the
-/// same count as the dense run's global-OR test, final no-change sweep
-/// included. The active-panel schedule is exact here for the same Jacobi
-/// reason as the MCP's, with a one-bit cache per (panel, row).
+/// the controller as a host n-vector, and each iteration sweeps the
+/// ceil(n/p)^2 adjacency panels in Jacobi order through the panel-sweep
+/// driver. Convergence is the host's comparison of the folded row against
+/// the previous one — the same count as the dense run's global-OR test,
+/// final no-change sweep included.
 ReachabilityResult tiled_reachability(sim::Machine& machine, const graph::WeightMatrix& graph,
                                       graph::Vertex destination,
                                       const ClosureOptions& options) {
@@ -124,113 +186,40 @@ ReachabilityResult tiled_reachability(sim::Machine& machine, const graph::Weight
   const std::size_t p = machine.n();
   PPA_REQUIRE(p >= 1 && p <= n, "physical array side must be in [1, vertex count]");
   PPA_REQUIRE(destination < n, "destination out of range");
-  const std::size_t blocks = (n + p - 1) / p;
 
   ppc::Context ctx(machine);
   const sim::StepCounter at_entry = machine.steps();
-
-  const Pint ROW = ppc::row_of(ctx);
-  const Pint COL = ppc::col_of(ctx);
-  const Pbool carrier = (ROW == Word{0});
-  const Pbool row_end = (COL == static_cast<Word>(p - 1));
-
-  std::vector<std::vector<Flag>> panels(blocks * blocks);
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    for (std::size_t bj = 0; bj < blocks; ++bj) {
-      panels[bi * blocks + bj] = panel_adjacency(graph, p, bi * p, bj * p);
-    }
-  }
+  ReachVisit visit(ctx, graph);
 
   // The dense init's row-d state, computed by the controller (reflexive:
   // the destination reaches itself). No array instructions are issued, so
-  // init_steps covers only the constants above.
-  std::vector<std::uint8_t> reach(n, 0);
+  // init_steps covers only the visit's constants.
+  std::vector<detail::SweepLane<ReachVisit::Cell>> lanes(1);
+  lanes[0].destination = destination;
+  lanes[0].state.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    reach[j] = (j == destination || graph.has_edge(j, destination)) ? 1 : 0;
+    lanes[0].state[j] = (j == destination || graph.has_edge(j, destination)) ? 1 : 0;
   }
 
   ReachabilityResult result;
   result.destination = destination;
   result.init_steps = machine.steps().since(at_entry);
 
-  const bool active = options.active_panels;
-  detail::DirtyBlocks dirty(blocks);
-  detail::PanelIoLedger ledger(machine, active);
-  std::vector<std::uint8_t> cache(active ? blocks * blocks * p : 0);
-  std::vector<std::uint8_t> carry(p), next(n);
-  std::vector<Flag> frag(p * p, 0);
+  detail::SweepConfig config;
+  config.n = n;
+  config.p = p;
+  config.iteration_cap = n + 2;
+  config.active = options.active_panels;
+  const detail::SweepStats stats = detail::panel_sweep(machine, config, lanes, visit);
 
-  for (;;) {
-    PPA_REQUIRE(result.iterations < n + 2,
-                "reachability failed to converge within the iteration cap");
-    ledger.begin_sweep();
-    for (std::size_t bi = 0; bi < blocks; ++bi) {
-      const std::size_t base_r = bi * p;
-      const std::size_t bh = std::min(p, n - base_r);
-      std::fill(carry.begin(), carry.end(), std::uint8_t{0});
-      for (std::size_t bj = 0; bj < blocks; ++bj) {
-        const std::size_t base_c = bj * p;
-        std::uint8_t* const cached = active ? &cache[(bi * blocks + bj) * p] : nullptr;
-
-        if (active && !dirty.dirty(bj)) {
-          ++result.panels_skipped;
-          ledger.skip(static_cast<std::uint64_t>(p) + 2);
-          for (std::size_t r = 0; r < bh; ++r) carry[r] |= cached[r];
-          continue;
-        }
-        ++result.panels_visited;
-
-        // ---- panel load: adjacency panel (p rows) + reach fragment on
-        //      the carrier row (1 row).
-        for (std::size_t c = 0; c < p; ++c) {
-          const std::size_t gj = base_c + c;
-          frag[c] = (gj < n && reach[gj] != 0) ? Flag{1} : Flag{0};
-        }
-        const Pbool EDGEP(ctx, panels[bi * blocks + bj]);
-        const Pbool RF(ctx, frag);
-        ledger.load(static_cast<std::uint64_t>(p) + 1);
-
-        // ---- panel relax: one column broadcast + one wired-OR.
-        ledger.relax_begin();
-        const Pbool r_by_col = ppc::broadcast(RF, Direction::South, carrier);
-        const Pbool NEW_R = ppc::bus_or(EDGEP & r_by_col, Direction::West, row_end);
-        ledger.relax_end();
-
-        // ---- panel unload: the OR line is cluster-wide; column 0 is one
-        //      readback beat.
-        ledger.unload(1);
-        for (std::size_t r = 0; r < bh; ++r) {
-          const std::uint8_t bit = NEW_R.at(r, 0) ? 1 : 0;
-          if (active) cached[r] = bit;
-          carry[r] |= bit;
-        }
-      }
-      for (std::size_t r = 0; r < bh; ++r) next[base_r + r] = carry[r];
-    }
-
-    // Jacobi apply: reach growth is monotone (the reflexive diagonal
-    // keeps every set bit), so the per-block change counts feed the dirty
-    // flags exactly as in the MCP sweep.
-    std::size_t changed = 0;
-    std::vector<std::uint64_t> block_changes(blocks, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (next[i] != reach[i]) {
-        reach[i] = next[i];
-        ++block_changes[i / p];
-        ++changed;
-      }
-    }
-    if (active) dirty.update(block_changes);
-
-    ++result.iterations;
-    if (changed == 0) break;
-  }
-
+  result.iterations = lanes[0].iterations;
   result.total_steps = machine.steps().since(at_entry);
-  result.panel_io_saved = ledger.saved();
+  result.panels_visited = stats.visited;
+  result.panels_skipped = stats.skipped;
+  result.panel_io_saved = stats.saved;
   result.reachable.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    result.reachable[i] = reach[i] != 0;
+    result.reachable[i] = lanes[0].state[i] != 0;
   }
   return result;
 }
@@ -247,23 +236,14 @@ ReachabilityResult reachability(sim::Machine& machine, const graph::WeightMatrix
 ReachabilityResult solve_reachability(const graph::WeightMatrix& graph,
                                       graph::Vertex destination,
                                       const ClosureOptions& options) {
-  const std::size_t n = graph.size();
-  sim::MachineConfig config;
-  config.n = options.array_side == 0 ? n : std::min(options.array_side, n);
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  sim::Machine machine(config);
+  sim::Machine machine(closure_machine(graph, options));
   return reachability(machine, graph, destination, options);
 }
 
 ClosureResult transitive_closure(const graph::WeightMatrix& graph,
                                  const ClosureOptions& options) {
   const std::size_t n = graph.size();
-  sim::MachineConfig config;
-  config.n = options.array_side == 0 ? n : std::min(options.array_side, n);
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  sim::Machine machine(config);
+  sim::Machine machine(closure_machine(graph, options));
 
   ClosureResult result;
   result.n = n;

@@ -42,6 +42,11 @@ sim::BusMasking masking_of(RecoveryPolicy policy) noexcept {
   return sim::BusMasking::None;
 }
 
+bool retriable(SolveOutcome outcome) noexcept {
+  return outcome == SolveOutcome::VerificationFailed ||
+         outcome == SolveOutcome::NonConverged || outcome == SolveOutcome::HardwareFault;
+}
+
 bool retry_allowed(RecoveryPolicy policy) noexcept {
   return policy == RecoveryPolicy::Retry || policy == RecoveryPolicy::TmrThenRetry;
 }
@@ -80,16 +85,8 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   const MinVariant variant = two_sided ? MinVariant::OrProbe : options.min_variant;
 
   obs::Collector* const observer = options.observer;
-  detail::ScopedSink scoped_sink(machine, observer);
-  PPA_SPAN(observer, "solve", &machine, static_cast<std::int64_t>(destination));
-
+  detail::SolveScope scope(machine, options, "solve", static_cast<std::int64_t>(destination));
   ppc::Context ctx(machine);
-  const sim::StepCounter at_entry = machine.steps();
-  const std::size_t faults_at_entry = machine.fault_count();
-  const sim::Machine::PlanCacheStats plans_at_entry = machine.plan_cache_stats();
-  const sim::MaskingStats masking_at_entry = machine.masking_stats();
-  const detail::ThroughputProbe throughput_at_entry =
-      observer != nullptr ? detail::probe_throughput(machine) : detail::ThroughputProbe{};
 
   // ------------------------------------------------------------------
   // Data layout (paper Section 3): W, SOW, PTN are n x n parallel ints;
@@ -146,11 +143,10 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   Pint MIN_SOW(SOW);
   Pint OLD_SOW(ctx, 0);
 
-  const sim::StepCounter after_init = machine.steps();
   init_span.reset();
 
   Result result;
-  result.init_steps = after_init.since(at_entry);
+  result.init_steps = scope.steps();
 
   // Step 2 — relaxation loop (paper statements 8..20).
   auto relax_span = std::make_optional(obs::open_span(observer, "relax", &machine));
@@ -215,8 +211,6 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   }
   relax_span.reset();
 
-  result.total_steps = machine.steps().since(at_entry);
-
   // Unload row d (controller I/O; not charged as SIMD steps).
   {
     PPA_SPAN(observer, "unload", &machine);
@@ -229,110 +223,26 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
     }
   }
 
-  // Fault harvest, outcome policy, solver counters (shared with the tiled
-  // driver — relax_core.hpp).
-  result.masking = machine.masking_stats().since(masking_at_entry);
-  detail::record_plan_cache_delta(machine, plans_at_entry, observer);
-  detail::record_throughput_delta(machine, throughput_at_entry, observer);
-  detail::finalize_result(machine, graph, destination, options, faults_at_entry, result);
+  // Steps, fault harvest, outcome policy, solver counters: the epilogue
+  // every solver shares (relax_core.hpp).
+  scope.settle(graph, {&result, 1});
   return result;
 }
-
-namespace {
-
-/// True when the outcome warrants another attempt on the oracle.
-bool retriable(SolveOutcome outcome) {
-  return outcome == SolveOutcome::VerificationFailed ||
-         outcome == SolveOutcome::NonConverged || outcome == SolveOutcome::HardwareFault;
-}
-
-/// One attempt; converts a ContractError on a faulty machine into a
-/// HardwareFault result (an injected fault can drive the program into
-/// states the machine contracts reject, e.g. an undriven value reaching a
-/// primitive that requires full driven-ness in unchecked mode).
-Result attempt(sim::Machine& machine, const graph::WeightMatrix& graph,
-               graph::Vertex destination, const Options& options) {
-  const std::size_t faults_at_entry = machine.fault_count();
-  try {
-    return run_minimum_cost_path(machine, graph, destination, options);
-  } catch (const util::ContractError&) {
-    if (!machine.has_faults()) throw;
-    Result result;
-    result.outcome = SolveOutcome::HardwareFault;
-    result.solution.destination = destination;
-    result.solution.cost.assign(graph.size(), graph.infinity());
-    result.solution.next.assign(graph.size(), destination);
-    const std::vector<sim::FaultEvent>& log = machine.fault_events();
-    for (std::size_t i = faults_at_entry; i < log.size(); ++i) {
-      result.fault_events.push_back(log[i]);
-    }
-    if (result.fault_events.empty()) {
-      // The abort itself is the diagnostic: an undriven consume tripped a
-      // contract before checked mode could record anything.
-      result.fault_events.push_back(sim::FaultEvent{sim::FaultEventKind::UndrivenRead,
-                                                    sim::StepCategory::Alu,
-                                                    Direction::North, 0, 0, 1});
-    }
-    return result;
-  }
-}
-
-}  // namespace
 
 Result solve_with_recovery(sim::Machine& machine, std::unique_ptr<sim::Machine>& oracle,
                            const graph::WeightMatrix& graph, graph::Vertex destination,
                            const Options& options) {
-  Result result = attempt(machine, graph, destination, options);
-  std::vector<sim::FaultEvent> events = std::move(result.fault_events);
-  sim::StepCounter spent = result.total_steps;
-  sim::MaskingStats masked = result.masking;
-  std::size_t attempts = 1;
-
-  while (retry_allowed(options.recovery) && retriable(result.outcome) &&
-         attempts <= options.max_retries) {
-    if (!oracle) {
-      sim::MachineConfig config;
-      // Same geometry as the failed machine: a tiled run retries tiled,
-      // so the recovery path exercises the same panel schedule.
-      config.n = machine.config().n;
-      config.bits = graph.field().bits();
-      config.topology = machine.config().topology;
-      config.backend = sim::ExecBackend::Words;  // the fault-free oracle
-      oracle = std::make_unique<sim::Machine>(config);
-    }
-    if (options.observer != nullptr) {
-      options.observer->metrics().counter(obs::metric::kSolverRetries).add(1);
-    }
-    PPA_SPAN(options.observer, "retry", oracle.get(),
-             static_cast<std::int64_t>(attempts));
-    result = run_minimum_cost_path(*oracle, graph, destination, options);
-    ++attempts;
-    events.insert(events.end(), result.fault_events.begin(), result.fault_events.end());
-    spent.merge(result.total_steps);
-    masked.merge(result.masking);
-  }
-
-  if (attempts > 1 && result.outcome == SolveOutcome::Verified &&
-      options.observer != nullptr) {
-    // The retry loop turned a failed row into a verified one.
-    options.observer->metrics().counter(obs::metric::kSolverRecoveredRows).add(1);
-  }
-  result.fault_events = std::move(events);
-  result.total_steps = spent;
-  result.attempts = attempts;
-  result.masking = masked;
-  return result;
+  std::vector<Result> first = detail::attempt(machine, graph, {destination}, [&] {
+    std::vector<Result> runs;
+    runs.push_back(run_minimum_cost_path(machine, graph, destination, options));
+    return runs;
+  });
+  return detail::recover(machine, oracle, graph, std::move(first.front()), options);
 }
 
 Result solve(const graph::WeightMatrix& graph, graph::Vertex destination,
              const Options& options) {
-  sim::MachineConfig config;
-  config.n = effective_array_side(options, graph.size());
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  config.checked = options.checked || !options.faults.empty();
-  config.masking = masking_of(options.recovery);
-  sim::Machine machine(config);
+  sim::Machine machine(detail::solver_machine_config(graph, options));
   if (!options.faults.empty()) machine.inject_faults(options.faults);
   std::unique_ptr<sim::Machine> oracle;
   return solve_with_recovery(machine, oracle, graph, destination, options);

@@ -195,6 +195,11 @@ enum class SolveOutcome {
 
 [[nodiscard]] const char* name_of(SolveOutcome outcome) noexcept;
 
+/// True for the failed outcomes the recovery loop re-runs on the oracle
+/// (VerificationFailed, NonConverged, HardwareFault). MaskedFaults is
+/// success with information and is never retried.
+[[nodiscard]] bool retriable(SolveOutcome outcome) noexcept;
+
 struct Result {
   graph::McpSolution solution;
   std::size_t iterations = 0;        // relaxation iterations executed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mcp/tiled.hpp"
 #include "mcp/verify.hpp"
 #include "obs/collector.hpp"
 #include "ppc/primitives.hpp"
@@ -12,18 +13,6 @@ namespace ppa::mcp::detail {
 using ppc::Pbool;
 using ppc::Pint;
 using sim::Direction;
-
-Pint row_min(MinVariant variant, const Pint& sow, const Pbool& row_end) {
-  return variant == MinVariant::Paper ? ppc::pmin(sow, Direction::West, row_end)
-                                      : ppc::pmin_orprobe(sow, Direction::West, row_end);
-}
-
-Pint row_argmin(MinVariant variant, const Pint& index, const Pbool& row_end,
-                const Pbool& is_min) {
-  return variant == MinVariant::Paper
-             ? ppc::selected_min(index, Direction::West, row_end, is_min)
-             : ppc::selected_min_orprobe(index, Direction::West, row_end, is_min);
-}
 
 Pint scheme_broadcast(const Pint& value, Direction dir, const Pbool& open,
                       BroadcastScheme scheme) {
@@ -39,8 +28,128 @@ void panel_candidates(const Pint& W, const Pbool& carrier_row, BroadcastScheme s
 
 void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant variant,
                       const Pint& sow, Pint& min_sow, Pint& ptn) {
-  min_sow = row_min(variant, sow, row_end);
-  ptn = row_argmin(variant, index, row_end, min_sow == sow);
+  const bool paper = variant == MinVariant::Paper;
+  min_sow = paper ? ppc::pmin(sow, Direction::West, row_end)
+                  : ppc::pmin_orprobe(sow, Direction::West, row_end);
+  const Pbool is_min = min_sow == sow;
+  ptn = paper ? ppc::selected_min(index, Direction::West, row_end, is_min)
+              : ppc::selected_min_orprobe(index, Direction::West, row_end, is_min);
+}
+
+namespace {
+
+/// The MCP panel views of W for a p x p machine, built once per solve (the
+/// ARRAY still pays PanelIo for every visit; the host just avoids
+/// rebuilding the same cell vectors each sweep).
+std::vector<std::vector<sim::Word>> weight_panels(const graph::WeightMatrix& g,
+                                                  std::size_t p) {
+  const std::size_t n = g.size();
+  const std::size_t blocks = (n + p - 1) / p;
+  const sim::Word inf = g.infinity();
+  std::vector<std::vector<sim::Word>> panels(blocks * blocks);
+  for (std::size_t bi = 0; bi < blocks; ++bi) {
+    for (std::size_t bj = 0; bj < blocks; ++bj) {
+      // Local cell (r, c) holds w(bi*p + r, bj*p + c) with the diagonal
+      // forced to 0 (the j == i term of the row minimum then preserves
+      // SOW_id, exactly like the full-array load) and padding rows /
+      // columns at infinity (they can never win a minimum whose candidates
+      // include the diagonal term).
+      std::vector<sim::Word>& cells = panels[bi * blocks + bj];
+      cells.assign(p * p, inf);
+      for (std::size_t r = 0; r < p && bi * p + r < n; ++r) {
+        const std::size_t gi = bi * p + r;
+        for (std::size_t c = 0; c < p && bj * p + c < n; ++c) {
+          const std::size_t gj = bj * p + c;
+          cells[r * p + c] = gi == gj ? sim::Word{0} : g.at(gi, gj);
+        }
+      }
+    }
+  }
+  return panels;
+}
+
+}  // namespace
+
+McpVisit::McpVisit(ppc::Context& ctx, const graph::WeightMatrix& graph, BroadcastScheme scheme)
+    : ctx_(ctx),
+      machine_(ctx.machine()),
+      n_(graph.size()),
+      p_(ctx.machine().n()),
+      blocks_((n_ + p_ - 1) / p_),
+      inf_(graph.infinity()),
+      scheme_(scheme),
+      col_(ppc::col_of(ctx)),
+      carrier_(ppc::row_of(ctx) == sim::Word{0}),
+      not_carrier_(!carrier_),
+      row_end_(col_ == static_cast<sim::Word>(p_ - 1)),
+      panels_(weight_panels(graph, p_)),
+      fragment_(p_ * p_, sim::Word{0}) {}
+
+void McpVisit::exhausted(const SweepLane<Cell>& lane) {
+  machine_.report_fault(sim::FaultEvent{sim::FaultEventKind::NonConvergence,
+                                        sim::StepCategory::Alu, Direction::North,
+                                        lane.destination, lane.destination, lane.iterations});
+}
+
+const std::vector<sim::Word>& McpVisit::fragment(const SweepLane<Cell>& lane, std::size_t bj) {
+  for (std::size_t c = 0; c < p_; ++c) {
+    const std::size_t gj = bj * p_ + c;
+    fragment_[c] = gj < n_ ? lane.state[gj].min : inf_;
+  }
+  return fragment_;
+}
+
+void McpVisit::load_weights(std::size_t bi, std::size_t bj) {
+  w_.emplace(ctx_, panels_[bi * blocks_ + bj]);
+}
+
+void McpVisit::candidates(Pint& sow) const {
+  ppc::where(ctx_, not_carrier_, [&] { panel_candidates(*w_, carrier_, scheme_, sow); });
+  ppc::where(ctx_, carrier_, [&] { sow = sow + *w_; });
+}
+
+SweepConfig mcp_sweep_config(const sim::Machine& machine, const graph::WeightMatrix& graph,
+                             const Options& options) {
+  SweepConfig config;
+  config.n = graph.size();
+  config.p = machine.n();
+  config.iteration_cap = options.max_iterations != 0 ? options.max_iterations : config.n + 2;
+  config.active = options.active_panels;
+  config.record_iterations = options.record_iterations;
+  config.observer = options.observer;
+  return config;
+}
+
+std::vector<SweepLane<MinArg>> mcp_lanes(const graph::WeightMatrix& graph,
+                                         const std::vector<graph::Vertex>& destinations) {
+  const std::size_t n = graph.size();
+  std::vector<SweepLane<MinArg>> lanes(destinations.size());
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    const graph::Vertex d = destinations[k];
+    SweepLane<MinArg>& lane = lanes[k];
+    lane.destination = d;
+    lane.state.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      lane.state[i] = MinArg{i == d ? sim::Word{0} : graph.at(i, d), static_cast<sim::Word>(d)};
+    }
+  }
+  return lanes;
+}
+
+Result mcp_lane_result(SweepLane<MinArg>& lane, const sim::StepCounter& init_steps) {
+  Result result;
+  result.solution.destination = lane.destination;
+  result.solution.cost.resize(lane.state.size());
+  result.solution.next.resize(lane.state.size());
+  for (std::size_t i = 0; i < lane.state.size(); ++i) {
+    result.solution.cost[i] = lane.state[i].min;
+    result.solution.next[i] = lane.state[i].arg;
+  }
+  result.iterations = lane.iterations;
+  result.iteration_trace = std::move(lane.trace);
+  result.init_steps = init_steps;
+  if (!lane.converged) result.outcome = SolveOutcome::NonConverged;
+  return result;
 }
 
 ScopedSink::ScopedSink(sim::Machine& machine, obs::Collector* observer)
@@ -50,65 +159,47 @@ ScopedSink::ScopedSink(sim::Machine& machine, obs::Collector* observer)
 
 ScopedSink::~ScopedSink() { machine_.set_trace(previous_); }
 
-std::vector<sim::Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
-                                     std::size_t base_r, std::size_t base_c) {
-  const std::size_t n = g.size();
-  const sim::Word inf = g.infinity();
-  std::vector<sim::Word> cells(p * p, inf);
-  const std::size_t bh = std::min(p, n - base_r);
-  const std::size_t bw = std::min(p, n - base_c);
-  for (std::size_t r = 0; r < bh; ++r) {
-    const std::size_t gi = base_r + r;
-    for (std::size_t c = 0; c < bw; ++c) {
-      const std::size_t gj = base_c + c;
-      cells[r * p + c] = (gi == gj) ? sim::Word{0} : g.at(gi, gj);
-    }
-  }
-  return cells;
-}
+namespace {
 
+/// Records the machine's broadcast-plan-cache hit/miss delta since `entry`
+/// as the observer's bus.plan_cache.* counters. Once per solver call, so
+/// the merged all-pairs metrics stay worker-count independent.
 void record_plan_cache_delta(const sim::Machine& machine,
-                             sim::Machine::PlanCacheStats entry,
-                             obs::Collector* observer) {
-  if (observer == nullptr) return;
+                             sim::Machine::PlanCacheStats entry, obs::Collector& observer) {
   const sim::Machine::PlanCacheStats now = machine.plan_cache_stats();
-  obs::MetricsRegistry& metrics = observer->metrics();
+  obs::MetricsRegistry& metrics = observer.metrics();
   metrics.counter(obs::metric::kPlanCacheHits).add(now.hits - entry.hits);
   metrics.counter(obs::metric::kPlanCacheMisses).add(now.misses - entry.misses);
 }
 
-ThroughputProbe probe_throughput(sim::Machine& machine) {
-  ThroughputProbe probe;
-  probe.sweeps = machine.sweep_stats();
-  if (util::ThreadPool* pool = machine.host_pool(); pool != nullptr) {
-    probe.pool_busy = pool->busy_seconds();
-  }
-  return probe;
-}
-
-void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
-                             obs::Collector* observer) {
-  if (observer == nullptr) return;
-  obs::MetricsRegistry& metrics = observer->metrics();
-  const sim::plane_kernels::SweepStats delta = machine.sweep_stats().since(entry.sweeps);
+/// Records the kernel-sweep billing delta as the simd.sweep.* counters
+/// (deterministic: billed per sweep on the controller thread, so pool-size
+/// and min-words independent) and the host pool's per-lane busy delta as
+/// the pool.* gauges (timing; gauge merge keeps the worst case seen).
+void record_throughput_delta(sim::Machine& machine,
+                             const sim::plane_kernels::SweepStats& sweeps_at_entry,
+                             const std::vector<double>& pool_busy_at_entry,
+                             obs::Collector& observer) {
+  obs::MetricsRegistry& metrics = observer.metrics();
+  const sim::plane_kernels::SweepStats delta = machine.sweep_stats().since(sweeps_at_entry);
   metrics.counter(obs::metric::kSweepDispatches).add(delta.dispatches);
   metrics.counter(obs::metric::kSweepWords).add(delta.words);
 
   util::ThreadPool* const pool = machine.host_pool();
   if (pool == nullptr) return;
-  // Per-lane busy delta for this solve. The pool may be shared by several
-  // machines, so this is an upper bound under concurrency — which is
-  // exactly the pessimism a worst-case gauge wants.
+  // The pool may be shared by several machines, so this is an upper bound
+  // under concurrency — which is exactly the pessimism a worst-case gauge
+  // wants.
   const std::vector<double> now = pool->busy_seconds();
   double max_busy = 0.0;
   double total = 0.0;
   for (std::size_t i = 0; i < now.size(); ++i) {
-    const double before = i < entry.pool_busy.size() ? entry.pool_busy[i] : 0.0;
+    const double before = i < pool_busy_at_entry.size() ? pool_busy_at_entry[i] : 0.0;
     const double lane = now[i] - before;
     max_busy = std::max(max_busy, lane);
     total += lane;
   }
-  if (max_busy <= 0.0) return;  // the pool never ran during this solve
+  if (max_busy <= 0.0) return;  // the pool never ran during this call
   obs::Gauge& busy = metrics.gauge(obs::metric::kPoolBusyMax);
   busy.set(std::max(busy.value(), max_busy));
   const double mean = total / static_cast<double>(now.size());
@@ -118,59 +209,164 @@ void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry
   }
 }
 
-void finalize_result(sim::Machine& machine, const graph::WeightMatrix& graph,
-                     graph::Vertex destination, const Options& options,
-                     std::size_t faults_at_entry, Result& result) {
-  // Harvest this run's checked-execution diagnostics (delta of the
-  // machine's capped fault log).
-  const std::vector<sim::FaultEvent>& log = machine.fault_events();
-  for (std::size_t i = faults_at_entry; i < log.size(); ++i) {
-    result.fault_events.push_back(log[i]);
-  }
-  const bool machine_faulted = machine.fault_count() > faults_at_entry;
+}  // namespace
 
-  // Outcome: non-convergence dominates (row d is partial data), then the
-  // host certificate, then any machine diagnostics, then the masking
-  // counters — a run that completed only because TMR / ECC corrected bus
-  // cycles is success-with-information (MaskedFaults), unless decode left
-  // uncorrectable residue, which is as untrustworthy as any other
-  // hardware fault.
-  if (result.outcome != SolveOutcome::NonConverged) {
-    if (options.verify) {
-      PPA_SPAN(options.observer, "verify", &machine);
-      const CertificateReport report = check_certificate(graph, result.solution);
-      if (report.ok) {
-        result.outcome = SolveOutcome::Verified;
-      } else {
-        result.outcome = SolveOutcome::VerificationFailed;
-        result.verify_detail = report.detail;
-        const sim::FaultEvent event{sim::FaultEventKind::VerificationFailed,
-                                    sim::StepCategory::Alu, sim::Direction::North,
-                                    destination, destination, 1};
-        machine.report_fault(event);
-        result.fault_events.push_back(event);
+sim::MachineConfig solver_machine_config(const graph::WeightMatrix& graph,
+                                         const Options& options) {
+  sim::MachineConfig config;
+  config.n = effective_array_side(options, graph.size());
+  config.bits = graph.field().bits();
+  config.backend = options.backend;
+  config.checked = options.checked || !options.faults.empty();
+  config.masking = masking_of(options.recovery);
+  return config;
+}
+
+SolveScope::SolveScope(sim::Machine& machine, const Options& options, std::string_view span,
+                       std::int64_t span_value)
+    : machine_(machine),
+      options_(options),
+      sink_(machine, options.observer),
+      span_(obs::open_span(options.observer, span, &machine, span_value)),
+      at_entry_(machine.steps()),
+      faults_at_entry_(machine.fault_count()),
+      plans_at_entry_(machine.plan_cache_stats()),
+      masking_at_entry_(machine.masking_stats()),
+      sweeps_at_entry_(machine.sweep_stats()) {
+  if (options.observer != nullptr && machine.host_pool() != nullptr) {
+    pool_busy_at_entry_ = machine.host_pool()->busy_seconds();
+  }
+}
+
+void SolveScope::settle(const graph::WeightMatrix& graph, std::span<Result> results) {
+  obs::Collector* const observer = options_.observer;
+  const sim::StepCounter total = steps();
+  const sim::MaskingStats masking = machine_.masking_stats().since(masking_at_entry_);
+  if (observer != nullptr) {
+    record_plan_cache_delta(machine_, plans_at_entry_, *observer);
+    record_throughput_delta(machine_, sweeps_at_entry_, pool_busy_at_entry_, *observer);
+    if (masking.votes != 0) {
+      obs::MetricsRegistry& metrics = observer->metrics();
+      metrics.counter(obs::metric::kMaskVotes).add(masking.votes);
+      metrics.counter(obs::metric::kMaskCorrections).add(masking.corrections);
+      metrics.counter(obs::metric::kMaskUncorrectable).add(masking.uncorrectable);
+    }
+  }
+  // This call's checked-execution diagnostics (delta of the machine's
+  // capped fault log), harvested before any certificate verdict adds its
+  // own event.
+  const std::vector<sim::FaultEvent>& log = machine_.fault_events();
+  const std::vector<sim::FaultEvent> events(
+      log.begin() + static_cast<std::ptrdiff_t>(std::min(faults_at_entry_, log.size())),
+      log.end());
+  const bool machine_faulted = machine_.fault_count() > faults_at_entry_;
+
+  for (Result& result : results) {
+    const graph::Vertex destination = result.solution.destination;
+    result.total_steps = total;
+    result.masking = masking;
+    for (const sim::FaultEvent& event : events) {
+      if (event.kind == sim::FaultEventKind::NonConvergence && event.row != destination) {
+        continue;
       }
-    } else if (machine_faulted) {
-      result.outcome = SolveOutcome::HardwareFault;
-    } else if (result.masking.uncorrectable > 0) {
-      result.outcome = SolveOutcome::HardwareFault;
-    } else if (result.masking.corrections > 0) {
-      result.outcome = SolveOutcome::MaskedFaults;
+      result.fault_events.push_back(event);
     }
+
+    if (result.outcome != SolveOutcome::NonConverged) {
+      if (options_.verify) {
+        PPA_SPAN(observer, "verify", &machine_);
+        const CertificateReport report = check_certificate(graph, result.solution);
+        if (report.ok) {
+          result.outcome = SolveOutcome::Verified;
+        } else {
+          result.outcome = SolveOutcome::VerificationFailed;
+          result.verify_detail = report.detail;
+          const sim::FaultEvent event{sim::FaultEventKind::VerificationFailed,
+                                      sim::StepCategory::Alu, sim::Direction::North,
+                                      destination, destination, 1};
+          machine_.report_fault(event);
+          result.fault_events.push_back(event);
+        }
+      } else if (machine_faulted || masking.uncorrectable > 0) {
+        result.outcome = SolveOutcome::HardwareFault;
+      } else if (masking.corrections > 0) {
+        result.outcome = SolveOutcome::MaskedFaults;
+      }
+    }
+
+    if (observer != nullptr) {
+      obs::MetricsRegistry& metrics = observer->metrics();
+      metrics.counter(obs::metric::kSolverRuns).add(1);
+      metrics.counter(obs::metric::kSolverIterations).add(result.iterations);
+      metrics.counter(std::string(obs::metric::kOutcomePrefix) + name_of(result.outcome))
+          .add(1);
+    }
+  }
+}
+
+std::vector<Result> hardware_fault_results(const sim::Machine& machine,
+                                           const graph::WeightMatrix& graph,
+                                           const std::vector<graph::Vertex>& destinations,
+                                           std::size_t faults_at_entry) {
+  const std::vector<sim::FaultEvent>& log = machine.fault_events();
+  std::vector<sim::FaultEvent> events;
+  for (std::size_t i = faults_at_entry; i < log.size(); ++i) events.push_back(log[i]);
+  if (events.empty()) {
+    events.push_back(sim::FaultEvent{sim::FaultEventKind::UndrivenRead, sim::StepCategory::Alu,
+                                     sim::Direction::North, 0, 0, 1});
+  }
+  std::vector<Result> results(destinations.size());
+  for (std::size_t i = 0; i < destinations.size(); ++i) {
+    Result& result = results[i];
+    result.outcome = SolveOutcome::HardwareFault;
+    result.solution.destination = destinations[i];
+    result.solution.cost.assign(graph.size(), graph.infinity());
+    result.solution.next.assign(graph.size(), destinations[i]);
+    result.fault_events = events;
+  }
+  return results;
+}
+
+Result recover(const sim::Machine& machine, std::unique_ptr<sim::Machine>& oracle,
+               const graph::WeightMatrix& graph, Result first, const Options& options) {
+  Result result = std::move(first);
+  const graph::Vertex destination = result.solution.destination;
+  std::vector<sim::FaultEvent> events = std::move(result.fault_events);
+  sim::StepCounter spent = result.total_steps;
+  sim::MaskingStats masked = result.masking;
+  std::size_t attempts = 1;
+
+  while (retry_allowed(options.recovery) && retriable(result.outcome) &&
+         attempts <= options.max_retries) {
+    if (!oracle) {
+      sim::MachineConfig config;
+      config.n = machine.config().n;
+      config.bits = graph.field().bits();
+      config.topology = machine.config().topology;
+      config.backend = sim::ExecBackend::Words;  // the fault-free oracle
+      oracle = std::make_unique<sim::Machine>(config);
+    }
+    if (options.observer != nullptr) {
+      options.observer->metrics().counter(obs::metric::kSolverRetries).add(1);
+    }
+    PPA_SPAN(options.observer, "retry", oracle.get(), static_cast<std::int64_t>(attempts));
+    result = run_minimum_cost_path(*oracle, graph, destination, options);
+    ++attempts;
+    events.insert(events.end(), result.fault_events.begin(), result.fault_events.end());
+    spent.merge(result.total_steps);
+    masked.merge(result.masking);
   }
 
-  if (options.observer != nullptr) {
-    obs::MetricsRegistry& metrics = options.observer->metrics();
-    metrics.counter(obs::metric::kSolverRuns).add(1);
-    metrics.counter(obs::metric::kSolverIterations).add(result.iterations);
-    metrics.counter(std::string(obs::metric::kOutcomePrefix) + name_of(result.outcome))
-        .add(1);
-    if (result.masking.votes != 0) {
-      metrics.counter(obs::metric::kMaskVotes).add(result.masking.votes);
-      metrics.counter(obs::metric::kMaskCorrections).add(result.masking.corrections);
-      metrics.counter(obs::metric::kMaskUncorrectable).add(result.masking.uncorrectable);
-    }
+  if (attempts > 1 && result.outcome == SolveOutcome::Verified &&
+      options.observer != nullptr) {
+    // The retry loop turned a failed row into a verified one.
+    options.observer->metrics().counter(obs::metric::kSolverRecoveredRows).add(1);
   }
+  result.fault_events = std::move(events);
+  result.total_steps = spent;
+  result.attempts = attempts;
+  result.masking = masked;
+  return result;
 }
 
 }  // namespace ppa::mcp::detail

@@ -1,36 +1,38 @@
-// The panel-parameterized relaxation core shared by the full-array solver
-// (mcp.cpp) and the tiled virtualization driver (tiled.cpp).
+// What every MCP solver shares: the panel-parameterized relaxation core,
+// the per-call bookkeeping (SolveScope) and the recovery loop.
 //
-// One relaxation visit of a panel is the paper's statements 10..12 with
-// the geometry generalized: the carrier row's SOW fragment is column-
-// broadcast over the panel, added to the resident weight panel, and each
-// panel row is reduced to its minimum cost and the smallest column index
-// attaining it. On the full array the panel IS the whole matrix and the
-// carrier row is row d; on a p x p physical machine sweeping an n-vertex
-// graph the carrier is machine row 0 and `index` carries the *global*
-// column indices of the panel (COL + panel base), so the tie-break to the
-// smallest next-hop index survives virtualization unchanged.
+// The relaxation core is the paper's statements 10..12 with the geometry
+// generalized: the carrier row's SOW fragment is column-broadcast over the
+// panel, added to the resident weight panel, and each panel row is reduced
+// to its minimum cost and the smallest column index attaining it. The
+// full-array solver (mcp.cpp) calls it with the whole matrix as the panel
+// and row d as the carrier; the tiled visit of the panel-sweep driver
+// (panel_sweep.hpp, tiled.cpp) calls it once per visited panel with
+// machine row 0 as the carrier and `index` carrying the *global* column
+// indices (COL + panel base), so the tie-break to the smallest next-hop
+// index survives virtualization unchanged. (The batched visit shares the
+// candidate step and replaces the reduction with its fused min/argmin.)
 //
 // Both functions issue instructions under the caller's ambient where-mask
 // and nothing else — the callers own all masking, which is what keeps the
-// full-array instruction stream bit-identical to the pre-extraction
-// solver (tests/mcp_step_regression_test.cpp pins the step counts).
+// full-array instruction stream bit-identical to the paper listing
+// (tests/mcp_step_regression_test.cpp pins the step counts).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "mcp/mcp.hpp"
+#include "mcp/panel_sweep.hpp"
+#include "obs/collector.hpp"
 #include "ppc/parallel.hpp"
+#include "util/check.hpp"
 
 namespace ppa::mcp::detail {
-
-/// Row minimum / argmin dispatch on the configured variant.
-[[nodiscard]] ppc::Pint row_min(MinVariant variant, const ppc::Pint& sow,
-                                const ppc::Pbool& row_end);
-[[nodiscard]] ppc::Pint row_argmin(MinVariant variant, const ppc::Pint& index,
-                                   const ppc::Pbool& row_end, const ppc::Pbool& is_min);
 
 /// Scheme-dispatched column/row broadcast (one issue point for both
 /// schemes, like the lambda the full solver used to carry around).
@@ -50,92 +52,81 @@ void panel_candidates(const ppc::Pint& W, const ppc::Pbool& carrier_row,
 void panel_row_reduce(const ppc::Pint& index, const ppc::Pbool& row_end, MinVariant variant,
                       const ppc::Pint& sow, ppc::Pint& min_sow, ppc::Pint& ptn);
 
-/// Per-column-block activity flags for the active-panel schedule
-/// (docs/tiling.md "Active panels"). A block is dirty when its slice of
-/// the row-d state changed in the previous iteration; every block starts
-/// dirty (iteration 1 has no previous information). Under Jacobi order a
-/// panel's partial result depends only on the static weight panel and the
-/// SOW fragment of its COLUMN block, so a visit whose column block is
-/// clean can be skipped and its cached readback replayed — exact, not
-/// heuristic. One instance per solve lane (batch members each carry their
-/// own).
-class DirtyBlocks {
- public:
-  explicit DirtyBlocks(std::size_t blocks) : dirty_(blocks, 1) {}
+// ---- The MCP visits' shared part (tiled.cpp, batch.cpp) -------------------
 
-  [[nodiscard]] bool dirty(std::size_t bj) const { return dirty_[bj] != 0; }
-  [[nodiscard]] std::size_t count() const {
-    std::size_t c = 0;
-    for (const std::uint8_t f : dirty_) c += f;
-    return c;
-  }
-  /// Feeds the next iteration from this iteration's per-block change
-  /// counts (the PR 9 convergence-telemetry vector).
-  void update(const std::vector<std::uint64_t>& block_changes) {
-    for (std::size_t b = 0; b < dirty_.size(); ++b) {
-      dirty_[b] = block_changes[b] != 0 ? std::uint8_t{1} : std::uint8_t{0};
-    }
-  }
-
- private:
-  std::vector<std::uint8_t> dirty_;
+/// An MCP readback / row-d cell: the minimum cost and the smallest global
+/// column index attaining it.
+struct MinArg {
+  sim::Word min = 0;
+  sim::Word arg = 0;
 };
 
-/// Double-buffered PanelIo accounting for the virtualized sweeps. A
-/// visited panel's load beats can overlap the PREVIOUS visited panel's
-/// relax sweep (the fragments all come from last iteration's state under
-/// Jacobi order, so the controller knows them at sweep start): the first
-/// load of each sweep pays full price, every later one is charged only
-/// the beats the overlap window could not hide. The window is the
-/// previous visited panel's relax step count with the Masking category
-/// excluded — masking trials are bus-level redundancy, and excluding them
-/// keeps the accounting identical across backends and recovery policies
-/// (ECC masking bills bit-plane-only steps). `saved()` accumulates every
-/// avoided beat — skipped visits included via skip() — so charged PanelIo
-/// plus saved() equals the dense schedule's total exactly.
-class PanelIoLedger {
+/// What the tiled and batched visits of the panel-sweep driver share. The
+/// fold is a strict `<`, so the earliest column block wins ties — combined
+/// with the in-panel smallest-index argmin this preserves the paper's
+/// tie-break to the smallest next-hop index. The destination's cost stays
+/// pinned at 0, like (d,d) on the array. The carrier of every SOW fragment
+/// is machine row 0 (the full array uses row d; any fixed row works — the
+/// fragment rides the column buses either way), which also holds data row
+/// 0 of the panel.
+class McpVisit {
  public:
-  PanelIoLedger(sim::Machine& machine, bool overlap) : machine_(machine), overlap_(overlap) {}
+  using Cell = MinArg;
+  static constexpr bool kPinDestination = true;
 
-  /// Resets the overlap window; the next load pays full price (a prefetch
-  /// cannot cross the iteration boundary — the fragment values depend on
-  /// the convergence update).
-  void begin_sweep() { window_ = 0; }
+  McpVisit(ppc::Context& ctx, const graph::WeightMatrix& graph, BroadcastScheme scheme);
 
-  /// Charges `rows` PanelIo minus the part hidden under the previous
-  /// visited panel's relax sweep.
-  void load(std::uint64_t rows) {
-    const std::uint64_t hidden = overlap_ ? std::min(rows, window_) : 0;
-    if (rows > hidden) machine_.charge_panel_io(rows - hidden);
-    saved_ += hidden;
+  [[nodiscard]] Cell identity() const { return Cell{inf_, 0}; }
+  static void fold(Cell& carry, const Cell& value) {
+    if (value.min < carry.min) carry = value;
   }
+  static bool differs(const Cell& next, const Cell& state) { return next.min != state.min; }
+  /// The DP is monotone, so an exhausted cap means corrupted state: the
+  /// lane reports a NonConvergence diagnosis (its outcome follows).
+  void exhausted(const SweepLane<Cell>& lane);
 
-  /// Brackets a panel's relax phase to measure the next overlap window.
-  void relax_begin() { before_relax_ = machine_.steps(); }
-  void relax_end() {
-    // PanelIo beats inside the bracket (the batched sweep's member
-    // fragments/readbacks) keep the I/O channel busy and cannot hide a
-    // prefetch, so they never widen the window.
-    const sim::StepCounter delta = machine_.steps().since(before_relax_);
-    window_ = delta.total() - delta.count(sim::StepCategory::Masking) -
-              delta.count(sim::StepCategory::PanelIo);
-  }
+ protected:
+  /// The lane's costs of column block bj on the carrier row (padding
+  /// columns at infinity), as a p x p load image.
+  const std::vector<sim::Word>& fragment(const SweepLane<Cell>& lane, std::size_t bj);
+  /// Loads weight panel (bi, bj) into w_.
+  void load_weights(std::size_t bi, std::size_t bj);
+  /// Statement 10 on the loaded panel: sow = broadcast(fragment) + W. The
+  /// carrier's fragment value is still resident (the masked store skips
+  /// it), so its candidates come from a local add — necessary under the
+  /// two-sided scheme, where a driver never hears its own injection.
+  void candidates(ppc::Pint& sow) const;
 
-  /// Plain charge (result readbacks are never overlapped).
-  void unload(std::uint64_t rows) { machine_.charge_panel_io(rows); }
-
-  /// Accounts a skipped visit's beats as saved without charging them.
-  void skip(std::uint64_t rows) { saved_ += rows; }
-
-  [[nodiscard]] std::uint64_t saved() const { return saved_; }
-
- private:
+  ppc::Context& ctx_;
   sim::Machine& machine_;
-  bool overlap_;
-  std::uint64_t window_ = 0;
-  std::uint64_t saved_ = 0;
-  sim::StepCounter before_relax_;
+  std::size_t n_, p_, blocks_;
+  sim::Word inf_;
+  BroadcastScheme scheme_;
+  const ppc::Pint col_;
+  const ppc::Pbool carrier_, not_carrier_, row_end_;
+  std::optional<ppc::Pint> w_;
+
+ private:
+  std::vector<std::vector<sim::Word>> panels_;  // host views of W, built once
+  std::vector<sim::Word> fragment_;
 };
+
+/// The MCP sweep parameters shared by the tiled and batched entry points.
+[[nodiscard]] SweepConfig mcp_sweep_config(const sim::Machine& machine,
+                                           const graph::WeightMatrix& graph,
+                                           const Options& options);
+
+/// One lane per destination, at the 1-edge costs (column d of W, the full
+/// solver's init transposed host-side) with every next hop at d.
+[[nodiscard]] std::vector<SweepLane<MinArg>> mcp_lanes(
+    const graph::WeightMatrix& graph, const std::vector<graph::Vertex>& destinations);
+
+/// A finished lane as a Result (solution, iterations, trace; NonConverged
+/// when the cap stopped it). Steps and outcome settle in SolveScope.
+[[nodiscard]] Result mcp_lane_result(SweepLane<MinArg>& lane,
+                                     const sim::StepCounter& init_steps);
+
+// ---- Per-call bookkeeping and recovery (every solver) --------------------
 
 /// Attaches the observer as the machine's trace sink for the duration of a
 /// call — only when the machine has no sink of its own (a caller-attached
@@ -153,48 +144,89 @@ class ScopedSink {
   sim::TraceSink* previous_;
 };
 
-/// Host-side view of weight panel (base_r, base_c) on a p x p machine:
-/// local cell (r, c) holds the global w(base_r + r, base_c + c) with the
-/// diagonal forced to 0 (the j == i term of the row minimum then preserves
-/// SOW_id, exactly like the full-array load) and padding rows/columns at
-/// infinity (they can never win a minimum whose candidates include the
-/// diagonal term). Shared by the tiled and batched sweeps.
-[[nodiscard]] std::vector<sim::Word> panel_weights(const graph::WeightMatrix& g,
-                                                   std::size_t p, std::size_t base_r,
-                                                   std::size_t base_c);
+/// The machine the convenience entry points (solve, solve_batch,
+/// all_pairs) build: the effective array side, the graph's field, and the
+/// backend, checked mode and masking the options ask for. Options::faults
+/// are injected by the caller.
+[[nodiscard]] sim::MachineConfig solver_machine_config(const graph::WeightMatrix& graph,
+                                                       const Options& options);
 
-/// Records the machine's broadcast-plan-cache hit/miss delta since `entry`
-/// as the observer's bus.plan_cache.* counters (no-op without an
-/// observer). Solvers snapshot at entry and call this once on exit, so the
-/// merged all-pairs metrics stay worker-count independent.
-void record_plan_cache_delta(const sim::Machine& machine,
-                             sim::Machine::PlanCacheStats entry,
-                             obs::Collector* observer);
+/// Entry and exit bookkeeping of one solver call — the full-array solver,
+/// the tiled sweep or one batched group. Construction attaches the
+/// observer as trace sink (ScopedSink), opens the call's span and
+/// snapshots the machine's steps, fault log, plan cache, masking and
+/// throughput counters; settle() is the shared epilogue. Construct it
+/// before the call's ppc::Context and settle while it is still open (the
+/// certificate check runs under its span).
+class SolveScope {
+ public:
+  SolveScope(sim::Machine& machine, const Options& options, std::string_view span,
+             std::int64_t span_value);
 
-/// Entry snapshot for record_throughput_delta: the machine's cumulative
-/// kernel-sweep billing plus (bit-plane backend with workers) the host
-/// pool's per-lane busy seconds.
-struct ThroughputProbe {
-  sim::plane_kernels::SweepStats sweeps;
-  std::vector<double> pool_busy;
+  /// Steps charged since entry.
+  [[nodiscard]] sim::StepCounter steps() const { return machine_.steps().since(at_entry_); }
+
+  /// The epilogue, once per call. Everything the machine counted is shared
+  /// by every Result of the call: each gets the call's step and masking
+  /// deltas and the checked-execution fault events (a NonConvergence
+  /// diagnosis only on its own destination), and the observer records the
+  /// plan-cache, throughput and masking deltas ONCE. Then each Result
+  /// settles its outcome — non-convergence dominates (row d is partial
+  /// data), then the host certificate (array-agnostic), then machine
+  /// diagnostics, then the masking counters: a run that completed only
+  /// because TMR / ECC corrected bus cycles is MaskedFaults, unless decode
+  /// left uncorrectable residue — and bumps the solver counters.
+  void settle(const graph::WeightMatrix& graph, std::span<Result> results);
+
+ private:
+  sim::Machine& machine_;
+  const Options& options_;
+  ScopedSink sink_;
+  obs::Collector::Span span_;
+  sim::StepCounter at_entry_;
+  std::size_t faults_at_entry_;
+  sim::Machine::PlanCacheStats plans_at_entry_;
+  sim::MaskingStats masking_at_entry_;
+  sim::plane_kernels::SweepStats sweeps_at_entry_;
+  std::vector<double> pool_busy_at_entry_;  // per-lane, observed runs only
 };
 
-[[nodiscard]] ThroughputProbe probe_throughput(sim::Machine& machine);
+/// The degraded Results of an attempt a fault aborted: every destination
+/// gets a HardwareFault outcome, an all-infinity row and the attempt's
+/// checked-execution events (or, when checked mode recorded nothing, one
+/// synthesized UndrivenRead — the abort itself is the diagnostic).
+[[nodiscard]] std::vector<Result> hardware_fault_results(
+    const sim::Machine& machine, const graph::WeightMatrix& graph,
+    const std::vector<graph::Vertex>& destinations, std::size_t faults_at_entry);
 
-/// Records the delta since `entry` as the observer's simd.sweep.* counters
-/// (deterministic: billed per sweep on the controller thread, so pool-size
-/// and min-words independent) and the pool.* gauges (timing; gauge merge
-/// keeps the worst case seen). No-op without an observer.
-void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
-                             obs::Collector* observer);
+/// One attempt: `run()` returns one Result per destination. A
+/// util::ContractError thrown out of a FAULTY machine degrades every
+/// destination of the attempt to HardwareFault (an injected fault can drive
+/// the program into states the machine contracts reject, e.g. an undriven
+/// value reaching a primitive that requires full driven-ness in unchecked
+/// mode); a fault-free machine propagates it unchanged.
+template <class Run>
+[[nodiscard]] std::vector<Result> attempt(sim::Machine& machine,
+                                          const graph::WeightMatrix& graph,
+                                          const std::vector<graph::Vertex>& destinations,
+                                          Run&& run) {
+  const std::size_t faults_at_entry = machine.fault_count();
+  try {
+    return run();
+  } catch (const util::ContractError&) {
+    if (!machine.has_faults()) throw;
+    return hardware_fault_results(machine, graph, destinations, faults_at_entry);
+  }
+}
 
-/// The solver epilogue both geometries share: harvests the machine's
-/// checked-execution fault-event delta, settles Result::outcome
-/// (non-convergence dominates, then the host certificate — which is
-/// array-agnostic — then machine diagnostics) and bumps the observer's
-/// solver counters. Must run while the caller's "solve" span is open.
-void finalize_result(sim::Machine& machine, const graph::WeightMatrix& graph,
-                     graph::Vertex destination, const Options& options,
-                     std::size_t faults_at_entry, Result& result);
+/// The recovery loop for one destination, given its first attempt: while
+/// the policy allows it and the outcome is retriable, re-runs the
+/// destination ALONE on `oracle` — a fault-free word-backend machine of the
+/// same geometry as `machine` (a tiled run retries tiled), created on first
+/// use and reusable across calls. Fault events, steps and masking counters
+/// accumulate over every attempt.
+[[nodiscard]] Result recover(const sim::Machine& machine, std::unique_ptr<sim::Machine>& oracle,
+                             const graph::WeightMatrix& graph, Result first,
+                             const Options& options);
 
 }  // namespace ppa::mcp::detail

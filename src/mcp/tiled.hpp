@@ -2,26 +2,17 @@
 //
 // The paper maps the weight matrix 1:1 onto the array, so the largest
 // solvable graph is the largest machine; this layer removes the coupling.
-// A p x p machine (p <= n) sweeps the n x n weight matrix in
-// ceil(n/p) x ceil(n/p) panels per relaxation iteration:
-//
-//   * the current row-d state (SOW / PTN) lives with the HOST controller
-//     as an n-vector between panels;
-//   * visiting panel (bi, bj) loads the p x p weight panel and the
-//     bj-th SOW fragment into the array (counted PanelIo steps — see
-//     Machine::charge_panel_io and docs/tiling.md), runs the shared
-//     relaxation core (relax_core.hpp: column broadcast + saturating add
-//     + bit-serial row min/argmin over GLOBAL column indices), and reads
-//     back one min/argmin pair per panel row;
-//   * a host-side carry folds each panel row's partial minimum into the
-//     running row minimum with a strict `<`, so the earliest column block
-//     wins ties — combined with the in-panel smallest-index argmin this
-//     preserves the paper's tie-break to the smallest next-hop index
-//     exactly;
-//   * row-d updates are buffered and applied only after the full sweep
-//     (Jacobi order, like the array), so the iteration count, every
-//     iterate and the final solution are bit-identical to the full-array
-//     run — tests/mcp_tiled_test.cpp pins this on both backends.
+// tiled_minimum_cost_path is one run of the panel-sweep driver
+// (panel_sweep.hpp) with one lane and the paper's reducer: each iteration
+// sweeps the ceil(n/p) x ceil(n/p) weight panels, the row-d state lives
+// with the HOST controller between panels, a visited panel loads the W
+// panel and the SOW fragment (p + 1 PanelIo beats — see
+// Machine::charge_panel_io and docs/tiling.md), runs the shared relaxation
+// core (relax_core.hpp) over GLOBAL column indices and reads back one
+// min/argmin pair per panel row (2 beats). The driver's strict-`<` carry
+// fold and Jacobi-buffered apply keep the iteration count, every iterate
+// and the final solution bit-identical to the full-array run —
+// tests/mcp_tiled_test.cpp pins this on both backends.
 //
 // Step model: the relaxation instructions are charged exactly like the
 // full array's (just on p-wide rows); the virtualization overhead is

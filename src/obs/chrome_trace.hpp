@@ -63,7 +63,6 @@ class ChromeTraceWriter final : public sim::TraceSink {
   /// output is a valid JSON document from this point on.
   void finish();
 
-  [[nodiscard]] std::size_t event_count() const noexcept { return events_written_; }
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const noexcept {
     return epoch_;
   }

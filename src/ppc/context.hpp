@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "ppc/plane_kernels.hpp"
+#include "sim/plane_kernels.hpp"
 #include "sim/machine.hpp"
 
 namespace ppa::ppc {
@@ -47,9 +47,9 @@ class Context {
   [[nodiscard]] const sim::PlaneWord* full_plane() const noexcept { return full_.data(); }
 
   /// The bit-plane ALU: the runtime-dispatched SIMD kernel table, bound to
-  /// the machine's thread pool for big sweeps (plane_kernels.hpp). Every
+  /// the machine's thread pool for big sweeps (sim/plane_kernels.hpp). Every
   /// plane-backend elementwise operation goes through it.
-  [[nodiscard]] const plane_kernels::PlaneAlu& alu() const noexcept { return alu_; }
+  [[nodiscard]] const sim::plane_kernels::PlaneAlu& alu() const noexcept { return alu_; }
 
   /// Current activity mask (1 = PE executes write-backs).
   [[nodiscard]] std::span<const Flag> mask() const noexcept { return stack_.back(); }
@@ -103,7 +103,7 @@ class Context {
 
  private:
   sim::Machine& machine_;
-  plane_kernels::PlaneAlu alu_;
+  sim::plane_kernels::PlaneAlu alu_;
   std::vector<std::vector<Flag>> stack_;  // stack_[0] = all ones
   std::vector<std::vector<Word>> free_words_;
   std::vector<std::vector<Flag>> free_flags_;

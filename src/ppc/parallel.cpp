@@ -1,6 +1,7 @@
 #include "ppc/parallel.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "ppc/flag_sweep.hpp"
@@ -10,11 +11,26 @@ namespace ppa::ppc {
 
 using sim::PlaneWord;
 
+namespace {
+/// Which comparison a Pint comparison computes (the plane bodies share
+/// compare_planes below).
+enum class CompareKind { Eq, Ne, Lt, Le };
+}  // namespace
+
 /// Private-access backdoor for primitives.cpp: builds parallel values that
 /// carry bus-driven masks without charging a store instruction (the bus
-/// primitive itself already charged the cycle).
+/// primitive itself already charged the cycle). It also holds the shared
+/// bodies of the elementwise min/max and comparison operators (defined
+/// with the operators below).
 class detail_access {
  public:
+  template <class Op>
+  static Pbool compare(const Pint& a, const Pint& b, CompareKind kind, Op op);
+  template <class Op>
+  static Pbool compare(const Pint& a, Word b, CompareKind kind, Op op);
+  template <class Op>
+  static Pint pick(const Pint& a, const Pint& b, bool max, Op op);
+
   static Pint raw_pint(Context& ctx, std::vector<Word> data, std::vector<Flag> driven) {
     Pint p(&ctx);
     p.data_ = std::move(data);
@@ -481,8 +497,7 @@ Pint operator+(const Pint& a, Word b) {
 
 namespace {
 
-/// Shared plane body of emin/emax: out = choose ? a : b per plane, where
-/// `choose` was computed by a compare. Returns the blended planes.
+/// Shared plane body of emin/emax/select: out = choose ? a : b per plane.
 std::vector<PlaneWord> blend_planes(Context& ctx, const PlaneWord* choose,
                                     std::span<const PlaneWord> a,
                                     std::span<const PlaneWord> b) {
@@ -498,70 +513,48 @@ std::vector<PlaneWord> blend_planes(Context& ctx, const PlaneWord* choose,
 
 }  // namespace
 
-Pint emin(const Pint& a, const Pint& b) {
+/// Shared body of emin / emax: out = (a < b) ? a : b for the minimum,
+/// (b < a) ? a : b for the maximum — one compare plus a per-plane blend on
+/// the plane backend.
+template <class Op>
+Pint detail_access::pick(const Pint& a, const Pint& b, bool max, Op op) {
   check_same_context(*a.ctx_, *b.ctx_);
   Context& ctx = *a.ctx_;
   if (ctx.bitplane()) {
     const std::size_t pw = ctx.geometry().plane_words();
-    std::vector<PlaneWord> lt = ctx.acquire_flag_plane();
+    const int h = ctx.field().bits();
+    std::vector<PlaneWord> choose = ctx.acquire_flag_plane();
     std::vector<PlaneWord> eq = ctx.acquire_flag_plane();
-    ctx.alu().compare_lt(a.planes_.data(), b.planes_.data(), ctx.field().bits(), pw,
-                          ctx.full_plane(), lt.data(), eq.data());
-    std::vector<PlaneWord> out = blend_planes(ctx, lt.data(), a.planes_, b.planes_);
-    ctx.release_flag_plane(std::move(lt));
+    const Pint& lo = max ? b : a;
+    const Pint& hi = max ? a : b;
+    ctx.alu().compare_lt(lo.planes_.data(), hi.planes_.data(), h, pw, ctx.full_plane(),
+                         choose.data(), eq.data());
+    std::vector<PlaneWord> out = blend_planes(ctx, choose.data(), a.planes_, b.planes_);
+    ctx.release_flag_plane(std::move(choose));
     ctx.release_flag_plane(std::move(eq));
     ctx.machine().charge_alu();
-    return detail_access::raw_pint_planes(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
+    return raw_pint_planes(ctx, std::move(out),
+                           combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
   }
   std::vector<Word> out = ctx.acquire_words();
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
   ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] < pb[pe] ? pa[pe] : pb[pe];
+    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], pb[pe]) ? pa[pe] : pb[pe];
   });
   ctx.machine().charge_alu();
-  return detail_access::raw_pint(ctx, std::move(out),
-                                 combine_driven(ctx, a.driven_, b.driven_));
+  return raw_pint(ctx, std::move(out), combine_driven(ctx, a.driven_, b.driven_));
 }
 
+Pint emin(const Pint& a, const Pint& b) { return detail_access::pick(a, b, false, std::less<>{}); }
 Pint emax(const Pint& a, const Pint& b) {
-  check_same_context(*a.ctx_, *b.ctx_);
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    const std::size_t pw = ctx.geometry().plane_words();
-    std::vector<PlaneWord> gt = ctx.acquire_flag_plane();
-    std::vector<PlaneWord> eq = ctx.acquire_flag_plane();
-    // a > b  <=>  b < a.
-    ctx.alu().compare_lt(b.planes_.data(), a.planes_.data(), ctx.field().bits(), pw,
-                          ctx.full_plane(), gt.data(), eq.data());
-    std::vector<PlaneWord> out = blend_planes(ctx, gt.data(), a.planes_, b.planes_);
-    ctx.release_flag_plane(std::move(gt));
-    ctx.release_flag_plane(std::move(eq));
-    ctx.machine().charge_alu();
-    return detail_access::raw_pint_planes(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
-  }
-  std::vector<Word> out = ctx.acquire_words();
-  const Word* pa = a.data_.data();
-  const Word* pb = b.data_.data();
-  Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] > pb[pe] ? pa[pe] : pb[pe];
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pint(ctx, std::move(out),
-                                 combine_driven(ctx, a.driven_, b.driven_));
+  return detail_access::pick(a, b, true, std::greater<>{});
 }
 
 namespace {
 
 /// Plane bodies of the Pint comparisons; `kind` selects the output.
-enum class CompareKind { Eq, Ne, Lt, Le };
-
 std::vector<PlaneWord> compare_planes(Context& ctx, std::span<const PlaneWord> a,
                                       std::span<const PlaneWord> b, CompareKind kind) {
   const std::size_t pw = ctx.geometry().plane_words();
@@ -594,152 +587,67 @@ std::vector<PlaneWord> scalar_planes(Context& ctx, Word value) {
 
 }  // namespace
 
+template <class Op>
+Pbool detail_access::compare(const Pint& a, const Pint& b, CompareKind kind, Op op) {
+  check_same_context(*a.ctx_, *b.ctx_);
+  Context& ctx = *a.ctx_;
+  if (ctx.bitplane()) {
+    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, b.planes_, kind);
+    ctx.machine().charge_alu();
+    return raw_pbool_plane(ctx, std::move(out),
+                           combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
+  }
+  std::vector<Flag> out = ctx.acquire_flags();
+  const Word* pa = a.data_.data();
+  const Word* pb = b.data_.data();
+  Flag* po = out.data();
+  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
+    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], pb[pe]) ? Flag{1} : Flag{0};
+  });
+  ctx.machine().charge_alu();
+  return raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, b.driven_));
+}
+
+template <class Op>
+Pbool detail_access::compare(const Pint& a, Word b, CompareKind kind, Op op) {
+  Context& ctx = *a.ctx_;
+  if (ctx.bitplane()) {
+    std::vector<PlaneWord> bp = scalar_planes(ctx, b);
+    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, bp, kind);
+    ctx.release_value_planes(std::move(bp));
+    ctx.machine().charge_alu();
+    return raw_pbool_plane(ctx, std::move(out), copy_driven_plane(ctx, a.driven_plane_));
+  }
+  std::vector<Flag> out = ctx.acquire_flags();
+  const Word* pa = a.data_.data();
+  Flag* po = out.data();
+  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
+    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], b) ? Flag{1} : Flag{0};
+  });
+  ctx.machine().charge_alu();
+  return raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
+}
+
 Pbool operator==(const Pint& a, const Pint& b) {
-  check_same_context(*a.ctx_, *b.ctx_);
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, b.planes_, CompareKind::Eq);
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  const Word* pb = b.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] == pb[pe] ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out),
-                                  combine_driven(ctx, a.driven_, b.driven_));
+  return detail_access::compare(a, b, CompareKind::Eq, std::equal_to<>{});
 }
-
 Pbool operator!=(const Pint& a, const Pint& b) {
-  check_same_context(*a.ctx_, *b.ctx_);
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, b.planes_, CompareKind::Ne);
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  const Word* pb = b.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] != pb[pe] ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out),
-                                  combine_driven(ctx, a.driven_, b.driven_));
+  return detail_access::compare(a, b, CompareKind::Ne, std::not_equal_to<>{});
 }
-
 Pbool operator<(const Pint& a, const Pint& b) {
-  check_same_context(*a.ctx_, *b.ctx_);
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, b.planes_, CompareKind::Lt);
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  const Word* pb = b.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] < pb[pe] ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out),
-                                  combine_driven(ctx, a.driven_, b.driven_));
+  return detail_access::compare(a, b, CompareKind::Lt, std::less<>{});
 }
-
 Pbool operator<=(const Pint& a, const Pint& b) {
-  check_same_context(*a.ctx_, *b.ctx_);
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, b.planes_, CompareKind::Le);
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(
-        ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  const Word* pb = b.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] <= pb[pe] ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out),
-                                  combine_driven(ctx, a.driven_, b.driven_));
+  return detail_access::compare(a, b, CompareKind::Le, std::less_equal<>{});
 }
-
 Pbool operator==(const Pint& a, Word b) {
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> bp = scalar_planes(ctx, b);
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, bp, CompareKind::Eq);
-    ctx.release_value_planes(std::move(bp));
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(ctx, std::move(out),
-                                          copy_driven_plane(ctx, a.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] == b ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
+  return detail_access::compare(a, b, CompareKind::Eq, std::equal_to<>{});
 }
-
 Pbool operator!=(const Pint& a, Word b) {
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> bp = scalar_planes(ctx, b);
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, bp, CompareKind::Ne);
-    ctx.release_value_planes(std::move(bp));
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(ctx, std::move(out),
-                                          copy_driven_plane(ctx, a.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] != b ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
+  return detail_access::compare(a, b, CompareKind::Ne, std::not_equal_to<>{});
 }
-
 Pbool operator<(const Pint& a, Word b) {
-  Context& ctx = *a.ctx_;
-  if (ctx.bitplane()) {
-    std::vector<PlaneWord> bp = scalar_planes(ctx, b);
-    std::vector<PlaneWord> out = compare_planes(ctx, a.planes_, bp, CompareKind::Lt);
-    ctx.release_value_planes(std::move(bp));
-    ctx.machine().charge_alu();
-    return detail_access::raw_pbool_plane(ctx, std::move(out),
-                                          copy_driven_plane(ctx, a.driven_plane_));
-  }
-  std::vector<Flag> out = ctx.acquire_flags();
-  const Word* pa = a.data_.data();
-  Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] < b ? Flag{1} : Flag{0};
-  });
-  ctx.machine().charge_alu();
-  return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
+  return detail_access::compare(a, b, CompareKind::Lt, std::less<>{});
 }
 
 Pint select(const Pbool& cond, const Pint& a, const Pint& b) {

@@ -58,12 +58,4 @@ struct Coord {
   friend constexpr bool operator==(const Coord&, const Coord&) = default;
 };
 
-[[nodiscard]] constexpr std::size_t pe_id(Coord c, std::size_t n) noexcept {
-  return c.row * n + c.col;
-}
-
-[[nodiscard]] constexpr Coord coord_of(std::size_t pe, std::size_t n) noexcept {
-  return Coord{pe / n, pe % n};
-}
-
 }  // namespace ppa::sim

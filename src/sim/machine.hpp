@@ -82,7 +82,7 @@ struct MachineConfig {
   /// Host worker threads for per-PE sweeps; 0 or 1 = host-sequential.
   /// Both backends honor it: the Words backend chunks PE ranges, the
   /// BitPlane backend chunks contiguous plane-word ranges of its ALU
-  /// sweeps (ppc/plane_kernels.hpp) once a sweep reaches
+  /// sweeps (sim/plane_kernels.hpp) once a sweep reaches
   /// `plane_sweep_min_words` words. Results, driven flags and step counts
   /// are bit-identical for every value on both backends
   /// (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
@@ -171,10 +171,6 @@ class Machine {
     return fault_log_;
   }
   [[nodiscard]] std::size_t fault_count() const noexcept { return fault_count_; }
-  void clear_fault_events() noexcept {
-    fault_log_.clear();
-    fault_count_ = 0;
-  }
 
   /// Records a diagnostic in the fault log and forwards it to the trace
   /// sink. Called by the bus wrappers below and by the ppc layer's
@@ -292,7 +288,7 @@ class Machine {
   }
 
   /// The host worker pool (nullptr when host_threads <= 1). The BitPlane
-  /// backend's ALU (ppc/plane_kernels.hpp) and the plane bus engine chunk
+  /// backend's ALU (sim/plane_kernels.hpp) and the plane bus engine chunk
   /// their sweeps over it.
   [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
 

@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD kernel table for the bit-plane ALU.
 //
-// plane_ops.hpp holds the portable scalar loops — they remain the
-// always-available reference implementation and the differential oracle
-// (tests/ppc_plane_kernels_test.cpp fuzzes every table below against
-// them). This header adds the production path: a table of function
-// pointers filled per SIMD variant (scalar / AVX2 / AVX-512), selected
+// tests/plane_ops.hpp holds the portable scalar loops — the independent
+// differential oracle (tests/ppc_plane_kernels_test.cpp fuzzes every
+// table below against them). This header is the production path: a
+// table of function pointers filled per SIMD variant (scalar / AVX2 /
+// AVX-512), selected
 // once per process from what the build compiled in and what the CPU
 // reports, plus the PlaneAlu wrapper that chunks big sweeps over the
 // machine's host thread pool.

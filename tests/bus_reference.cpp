@@ -1,4 +1,4 @@
-#include "sim/bus_reference.hpp"
+#include "bus_reference.hpp"
 
 #include <algorithm>
 #include <limits>

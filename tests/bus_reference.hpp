@@ -7,8 +7,8 @@
 // differential-testing oracle (tests/sim_bus_fuzz_test.cpp checks the two
 // against each other and against an independent brute-force model).
 //
-// Not for use outside tests: it allocates per call and walks each line
-// through the (line, flow-position) index map.
+// It lives with the tests and is linked only into them: it allocates per
+// call and walks each line through the (line, flow-position) index map.
 #pragma once
 
 #include "sim/bus.hpp"

@@ -1,7 +1,8 @@
 #pragma once
 
-// Word-parallel ALU kernels over bit planes (the BitPlane backend's
-// counterpart of flag_sweep.hpp).
+// Portable scalar ALU loops over bit planes: the independent oracle
+// tests/ppc_plane_kernels_test.cpp fuzzes every dispatched SIMD arm of
+// sim/plane_kernels.hpp against. Linked only into the tests.
 //
 // Every kernel works on raw PlaneWord ranges under the canonical-pad
 // invariant of sim/bit_planes.hpp: pad bits past column n-1 are zero on

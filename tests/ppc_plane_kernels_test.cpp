@@ -1,5 +1,5 @@
 // Differential fuzz of every compiled SIMD kernel arm against the
-// portable scalar reference in ppc/plane_ops.hpp (and sim::pack_words for
+// portable scalar reference in tests/plane_ops.hpp (and sim::pack_words for
 // the pack kernel), plus determinism pins for the PlaneAlu thread-pool
 // chunking. Geometries deliberately include ragged tails (n not a
 // multiple of 64, plane_words not a multiple of the vector width).
@@ -8,25 +8,25 @@
 #include <cstddef>
 #include <vector>
 
-#include "ppc/plane_kernels.hpp"
-#include "ppc/plane_ops.hpp"
+#include "plane_ops.hpp"
 #include "sim/bit_planes.hpp"
+#include "sim/plane_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppa {
 namespace {
 
-using ppc::plane_kernels::PlaneAlu;
-using ppc::plane_kernels::PlaneKernels;
-using ppc::plane_kernels::SimdVariant;
+using sim::plane_kernels::PlaneAlu;
+using sim::plane_kernels::PlaneKernels;
+using sim::plane_kernels::SimdVariant;
 using sim::PlaneGeometry;
 using sim::PlaneWord;
 
 std::vector<const PlaneKernels*> all_arms() {
-  std::vector<const PlaneKernels*> arms{&ppc::plane_kernels::scalar_kernels()};
-  if (const PlaneKernels* t = ppc::plane_kernels::avx2_kernels()) arms.push_back(t);
-  if (const PlaneKernels* t = ppc::plane_kernels::avx512_kernels()) arms.push_back(t);
+  std::vector<const PlaneKernels*> arms{&sim::plane_kernels::scalar_kernels()};
+  if (const PlaneKernels* t = sim::plane_kernels::avx2_kernels()) arms.push_back(t);
+  if (const PlaneKernels* t = sim::plane_kernels::avx512_kernels()) arms.push_back(t);
   return arms;
 }
 
@@ -54,7 +54,7 @@ std::vector<PlaneWord> full_plane(const PlaneGeometry& g) {
 const std::size_t kSides[] = {1, 5, 63, 64, 65, 96, 128, 130};
 
 TEST(PlaneKernels, ScalarTableIsAlwaysPresent) {
-  const PlaneKernels& t = ppc::plane_kernels::scalar_kernels();
+  const PlaneKernels& t = sim::plane_kernels::scalar_kernels();
   EXPECT_EQ(t.variant, SimdVariant::Scalar);
   EXPECT_NE(t.op_and, nullptr);
   EXPECT_NE(t.add_sat, nullptr);
@@ -62,10 +62,10 @@ TEST(PlaneKernels, ScalarTableIsAlwaysPresent) {
 }
 
 TEST(PlaneKernels, ActiveVariantIsOneOfTheArms) {
-  const char* name = ppc::plane_kernels::variant_name(ppc::plane_kernels::active_variant());
+  const char* name = sim::plane_kernels::variant_name(sim::plane_kernels::active_variant());
   EXPECT_TRUE(name == std::string("scalar") || name == std::string("avx2") ||
               name == std::string("avx512"));
-  EXPECT_EQ(ppc::plane_kernels::active().variant, ppc::plane_kernels::active_variant());
+  EXPECT_EQ(sim::plane_kernels::active().variant, sim::plane_kernels::active_variant());
 }
 
 TEST(PlaneKernels, ElementwiseMatchScalarReference) {
@@ -80,19 +80,19 @@ TEST(PlaneKernels, ElementwiseMatchScalarReference) {
 
       ppc::plane_ops::op_and(a.data(), b.data(), want.data(), pw);
       arm->op_and(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " and n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " and n=" << n;
 
       ppc::plane_ops::op_or(a.data(), b.data(), want.data(), pw);
       arm->op_or(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " or n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " or n=" << n;
 
       ppc::plane_ops::op_xor(a.data(), b.data(), want.data(), pw);
       arm->op_xor(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " xor n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " xor n=" << n;
 
       ppc::plane_ops::op_andnot(a.data(), b.data(), want.data(), pw);
       arm->op_andnot(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                            << " andnot n=" << n;
 
       ppc::plane_ops::op_copy(a.data(), want.data(), pw);
@@ -108,12 +108,12 @@ TEST(PlaneKernels, ElementwiseMatchScalarReference) {
       auto got_dst = b;
       ppc::plane_ops::masked_assign(mask.data(), a.data(), want_dst.data(), pw);
       arm->masked_assign(mask.data(), a.data(), got_dst.data(), pw);
-      EXPECT_EQ(want_dst, got_dst) << ppc::plane_kernels::variant_name(arm->variant)
+      EXPECT_EQ(want_dst, got_dst) << sim::plane_kernels::variant_name(arm->variant)
                                    << " masked_assign n=" << n;
 
       ppc::plane_ops::blend(mask.data(), a.data(), b.data(), want.data(), pw);
       arm->blend(mask.data(), a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " blend n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " blend n=" << n;
 
       EXPECT_EQ(ppc::plane_ops::all_zero(a.data(), pw), arm->all_zero(a.data(), pw));
       std::vector<PlaneWord> zeros(pw, 0);
@@ -141,7 +141,7 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
         ppc::plane_ops::add_sat(a.data(), b.data(), h, pw, full.data(), carry.data(),
                                 ones.data(), want.data());
         arm->add_sat(a.data(), b.data(), h, pw, full.data(), got.data(), 0, pw);
-        EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " add_sat n=" << n << " h=" << h;
 
         std::vector<PlaneWord> want_lt(pw), want_eq(pw), got_lt(pw), got_eq(pw);
@@ -149,14 +149,14 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
                                    want_eq.data());
         arm->compare_lt(a.data(), b.data(), h, pw, full.data(), got_lt.data(),
                         got_eq.data(), 0, pw);
-        EXPECT_EQ(want_lt, got_lt) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_lt, got_lt) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt n=" << n << " h=" << h;
-        EXPECT_EQ(want_eq, got_eq) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt(eq) n=" << n << " h=" << h;
 
         ppc::plane_ops::compare_eq(a.data(), b.data(), h, pw, full.data(), want_eq.data());
         arm->compare_eq(a.data(), b.data(), h, pw, full.data(), got_eq.data(), 0, pw);
-        EXPECT_EQ(want_eq, got_eq) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_eq n=" << n << " h=" << h;
 
         // Split the word range at every boundary in a coarse grid and check
@@ -219,7 +219,7 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
         sim::pack_words(g, src, planes, want.data());
         std::vector<PlaneWord> got(pw * static_cast<std::size_t>(planes), 0xABABABABu);
         arm->pack_words(g, src.data(), planes, got.data(), 0, g.n);
-        EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " pack n=" << n << " planes=" << planes;
 
         // Row-range splits must compose to the same result.
@@ -244,7 +244,7 @@ TEST(PlaneKernelsAlu, PooledSweepsAreBitIdenticalAcrossThreadCounts) {
   std::vector<sim::Word> src(g.n * g.n);
   for (auto& v : src) v = static_cast<sim::Word>(rng.next() & 0xFFFFu);
 
-  const PlaneKernels& k = ppc::plane_kernels::active();
+  const PlaneKernels& k = sim::plane_kernels::active();
   PlaneAlu inline_alu(k, nullptr, static_cast<std::size_t>(-1));
   std::vector<PlaneWord> ref_add(pw * h), ref_lt(pw), ref_eq(pw),
       ref_pack(pw * h);

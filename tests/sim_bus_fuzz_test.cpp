@@ -6,8 +6,8 @@
 
 #include <optional>
 
+#include "bus_reference.hpp"
 #include "sim/bus.hpp"
-#include "sim/bus_reference.hpp"
 #include "util/rng.hpp"
 
 namespace ppa::sim {
