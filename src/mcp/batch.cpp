@@ -45,7 +45,8 @@ class FusedVisit : public detail::McpVisit {
         // included — they hold infinity candidates and lose every value
         // round unless the whole row is at infinity, where the smallest
         // index still wins).
-        idx_bits_(static_cast<int>(std::bit_width(blocks_ * p_ - 1))) {
+        idx_bits_(static_cast<int>(std::bit_width(blocks_ * p_ - 1))),
+        some_col_(p_) {
     // Global column-index bit planes per column block, MSB-first: PE (r, c)
     // of block bj holds bit j of bj*p + c. Host flags (no field arithmetic,
     // so padding indices never clamp), built once per batch.
@@ -88,8 +89,9 @@ class FusedVisit : public detail::McpVisit {
     for (int j = h_ - 1; j >= 0; --j) {
       const Pbool probe = enable & !sow.bit(j);
       const Pbool some = ppc::bus_or(probe, Direction::West, row_end_);
+      some.column(0, {some_col_.data(), bh});
       for (std::size_t r = 0; r < bh; ++r) {
-        if (!some.at(r, 0)) out[r].min |= Word{1} << j;
+        if (some_col_[r] == 0) out[r].min |= Word{1} << j;
       }
       ppc::where(ctx_, some, [&] { enable = probe; });
     }
@@ -97,8 +99,9 @@ class FusedVisit : public detail::McpVisit {
       const Pbool probe =
           enable & !index_bits_[bj][static_cast<std::size_t>(idx_bits_ - 1 - j)];
       const Pbool some = ppc::bus_or(probe, Direction::West, row_end_);
+      some.column(0, {some_col_.data(), bh});
       for (std::size_t r = 0; r < bh; ++r) {
-        if (!some.at(r, 0)) out[r].arg |= Word{1} << j;
+        if (some_col_[r] == 0) out[r].arg |= Word{1} << j;
       }
       ppc::where(ctx_, some, [&] { enable = probe; });
     }
@@ -109,6 +112,7 @@ class FusedVisit : public detail::McpVisit {
  private:
   int h_, idx_bits_;
   std::vector<std::vector<Pbool>> index_bits_;
+  std::vector<sim::Flag> some_col_;  // column-0 readback scratch
 };
 
 /// One batched group on `machine`: every destination rides one shared

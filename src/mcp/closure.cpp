@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "mcp/panel_images.hpp"
 #include "mcp/panel_sweep.hpp"
 #include "ppc/primitives.hpp"
 #include "util/check.hpp"
@@ -16,25 +17,6 @@ using ppc::Pint;
 using sim::Direction;
 using sim::Flag;
 using sim::Word;
-
-/// Adjacency panel (base_r, base_c) as loaded into a p x p array:
-/// hasEdge(i,j) with the diagonal true (the j == i term preserves R_i
-/// across iterations, mirroring the MCP's zero diagonal) and padding rows /
-/// columns false (they contribute nothing to a wired-OR). The dense DP
-/// loads the single n x n panel.
-std::vector<Flag> adjacency_panel(const graph::WeightMatrix& g, std::size_t p,
-                                  std::size_t base_r, std::size_t base_c) {
-  const std::size_t n = g.size();
-  std::vector<Flag> flags(p * p, 0);
-  for (std::size_t r = 0; r < p && base_r + r < n; ++r) {
-    for (std::size_t c = 0; c < p && base_c + c < n; ++c) {
-      const std::size_t gi = base_r + r;
-      const std::size_t gj = base_c + c;
-      flags[r * p + c] = (gi == gj || g.has_edge(gi, gj)) ? Flag{1} : Flag{0};
-    }
-  }
-  return flags;
-}
 
 /// The machine the one-shot drivers build: array_side clamped to [1, n],
 /// with 0 meaning the dense n x n array.
@@ -57,7 +39,7 @@ ReachabilityResult full_reachability(sim::Machine& machine, const graph::WeightM
   ppc::Context ctx(machine);
   const sim::StepCounter at_entry = machine.steps();
 
-  const Pbool EDGE(ctx, adjacency_panel(graph, n, 0, 0));
+  const Pbool EDGE(ctx, detail::adjacency_images(ctx, graph).front());
   const Pint ROW = ppc::row_of(ctx);
   const Pint COL = ppc::col_of(ctx);
   const Word d = static_cast<Word>(destination);
@@ -108,7 +90,9 @@ ReachabilityResult full_reachability(sim::Machine& machine, const graph::WeightM
 
 /// The tiled reachability visit (panel_sweep.hpp): one boolean lane. A
 /// panel load moves the p adjacency rows plus the reach fragment on the
-/// carrier row — p + 1 beats the ledger may hide; the relax phase is one
+/// carrier row — p + 1 beats the ledger may hide; on the host it copies
+/// the adjacency image packed once per call (panel_images.hpp) and packs
+/// only the fragment's carrier row. The relax phase is one
 /// column broadcast and ONE wired-OR, and the OR line is cluster-wide, so
 /// the readback is 1 beat off column 0. Partials OR-fold host-side; reach
 /// growth is monotone (the reflexive diagonal keeps every set bit), so the
@@ -126,14 +110,8 @@ class ReachVisit {
         blocks_((n_ + p_ - 1) / p_),
         carrier_(ppc::row_of(ctx) == Word{0}),
         row_end_(ppc::col_of(ctx) == static_cast<Word>(p_ - 1)),
-        fragment_(p_ * p_, 0) {
-    // Host views of the adjacency panels, built once.
-    for (std::size_t bi = 0; bi < blocks_; ++bi) {
-      for (std::size_t bj = 0; bj < blocks_; ++bj) {
-        panels_.push_back(adjacency_panel(graph, p_, bi * p_, bj * p_));
-      }
-    }
-  }
+        panels_(detail::adjacency_images(ctx, graph)),
+        fragment_(ctx, n_) {}
 
   const std::uint64_t shared_beats;
   static constexpr std::uint64_t lane_beats = 1;
@@ -148,12 +126,8 @@ class ReachVisit {
   void load(std::size_t bi, std::size_t bj,
             const std::vector<detail::SweepLane<Cell>>& lanes) {
     const std::vector<Cell>& reach = lanes.front().state;
-    for (std::size_t c = 0; c < p_; ++c) {
-      const std::size_t gj = bj * p_ + c;
-      fragment_[c] = (gj < n_ && reach[gj] != 0) ? Flag{1} : Flag{0};
-    }
     edges_.emplace(ctx_, panels_[bi * blocks_ + bj]);
-    reach_.emplace(ctx_, fragment_);
+    reach_.emplace(ctx_, fragment_.pack(bj, Flag{0}, [&](std::size_t gj) { return reach[gj]; }));
   }
 
   void relax(detail::SweepLane<Cell>& /*lane*/, std::size_t /*bi*/, std::size_t /*bj*/,
@@ -161,15 +135,15 @@ class ReachVisit {
     const Pbool r_by_col = ppc::broadcast(*reach_, Direction::South, carrier_);
     const Pbool new_r = ppc::bus_or(*edges_ & r_by_col, Direction::West, row_end_);
     ctx_.machine().charge_panel_io(lane_beats);
-    for (std::size_t r = 0; r < bh; ++r) out[r] = new_r.at(r, 0) ? 1 : 0;
+    new_r.column(0, {out, bh});
   }
 
  private:
   ppc::Context& ctx_;
   std::size_t n_, p_, blocks_;
   const Pbool carrier_, row_end_;
-  std::vector<std::vector<Flag>> panels_;
-  std::vector<Flag> fragment_;
+  std::vector<ppc::PanelImage> panels_;  // adjacency images, packed once per call
+  detail::CarrierFragment<Flag> fragment_;
   std::optional<Pbool> edges_, reach_;
 };
 

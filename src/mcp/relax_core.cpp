@@ -36,40 +36,6 @@ void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant varian
               : ppc::selected_min_orprobe(index, Direction::West, row_end, is_min);
 }
 
-namespace {
-
-/// The MCP panel views of W for a p x p machine, built once per solve (the
-/// ARRAY still pays PanelIo for every visit; the host just avoids
-/// rebuilding the same cell vectors each sweep).
-std::vector<std::vector<sim::Word>> weight_panels(const graph::WeightMatrix& g,
-                                                  std::size_t p) {
-  const std::size_t n = g.size();
-  const std::size_t blocks = (n + p - 1) / p;
-  const sim::Word inf = g.infinity();
-  std::vector<std::vector<sim::Word>> panels(blocks * blocks);
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    for (std::size_t bj = 0; bj < blocks; ++bj) {
-      // Local cell (r, c) holds w(bi*p + r, bj*p + c) with the diagonal
-      // forced to 0 (the j == i term of the row minimum then preserves
-      // SOW_id, exactly like the full-array load) and padding rows /
-      // columns at infinity (they can never win a minimum whose candidates
-      // include the diagonal term).
-      std::vector<sim::Word>& cells = panels[bi * blocks + bj];
-      cells.assign(p * p, inf);
-      for (std::size_t r = 0; r < p && bi * p + r < n; ++r) {
-        const std::size_t gi = bi * p + r;
-        for (std::size_t c = 0; c < p && bj * p + c < n; ++c) {
-          const std::size_t gj = bj * p + c;
-          cells[r * p + c] = gi == gj ? sim::Word{0} : g.at(gi, gj);
-        }
-      }
-    }
-  }
-  return panels;
-}
-
-}  // namespace
-
 McpVisit::McpVisit(ppc::Context& ctx, const graph::WeightMatrix& graph, BroadcastScheme scheme)
     : ctx_(ctx),
       machine_(ctx.machine()),
@@ -82,8 +48,8 @@ McpVisit::McpVisit(ppc::Context& ctx, const graph::WeightMatrix& graph, Broadcas
       carrier_(ppc::row_of(ctx) == sim::Word{0}),
       not_carrier_(!carrier_),
       row_end_(col_ == static_cast<sim::Word>(p_ - 1)),
-      panels_(weight_panels(graph, p_)),
-      fragment_(p_ * p_, sim::Word{0}) {}
+      panels_(weight_images(ctx, graph)),
+      fragment_(ctx, n_) {}
 
 void McpVisit::exhausted(const SweepLane<Cell>& lane) {
   machine_.report_fault(sim::FaultEvent{sim::FaultEventKind::NonConvergence,
@@ -91,12 +57,8 @@ void McpVisit::exhausted(const SweepLane<Cell>& lane) {
                                         lane.destination, lane.destination, lane.iterations});
 }
 
-const std::vector<sim::Word>& McpVisit::fragment(const SweepLane<Cell>& lane, std::size_t bj) {
-  for (std::size_t c = 0; c < p_; ++c) {
-    const std::size_t gj = bj * p_ + c;
-    fragment_[c] = gj < n_ ? lane.state[gj].min : inf_;
-  }
-  return fragment_;
+const ppc::PanelImage& McpVisit::fragment(const SweepLane<Cell>& lane, std::size_t bj) {
+  return fragment_.pack(bj, inf_, [&](std::size_t gj) { return lane.state[gj].min; });
 }
 
 void McpVisit::load_weights(std::size_t bi, std::size_t bj) {

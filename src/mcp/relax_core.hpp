@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "mcp/mcp.hpp"
+#include "mcp/panel_images.hpp"
 #include "mcp/panel_sweep.hpp"
 #include "obs/collector.hpp"
 #include "ppc/parallel.hpp"
@@ -87,9 +88,9 @@ class McpVisit {
 
  protected:
   /// The lane's costs of column block bj on the carrier row (padding
-  /// columns at infinity), as a p x p load image.
-  const std::vector<sim::Word>& fragment(const SweepLane<Cell>& lane, std::size_t bj);
-  /// Loads weight panel (bi, bj) into w_.
+  /// columns at infinity), as a load image.
+  const ppc::PanelImage& fragment(const SweepLane<Cell>& lane, std::size_t bj);
+  /// Loads weight panel (bi, bj) into w_ (a copy of its image).
   void load_weights(std::size_t bi, std::size_t bj);
   /// Statement 10 on the loaded panel: sow = broadcast(fragment) + W. The
   /// carrier's fragment value is still resident (the masked store skips
@@ -107,8 +108,8 @@ class McpVisit {
   std::optional<ppc::Pint> w_;
 
  private:
-  std::vector<std::vector<sim::Word>> panels_;  // host views of W, built once
-  std::vector<sim::Word> fragment_;
+  std::vector<ppc::PanelImage> panels_;  // W images, packed once per call
+  CarrierFragment<sim::Word> fragment_;
 };
 
 /// The MCP sweep parameters shared by the tiled and batched entry points.

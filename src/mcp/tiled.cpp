@@ -30,16 +30,17 @@ class PaperVisit : public detail::McpVisit {
              MinVariant variant)
       : McpVisit(ctx, graph, scheme),
         shared_beats(static_cast<std::uint64_t>(p_) + 1),
-        variant_(variant) {}
+        variant_(variant),
+        min_col_(p_),
+        arg_col_(p_) {}
 
   const std::uint64_t shared_beats;
   static constexpr std::uint64_t lane_beats = 2;
 
   void load(std::size_t bi, std::size_t bj,
             const std::vector<detail::SweepLane<Cell>>& lanes) {
-    const std::vector<Word>& fragment = this->fragment(lanes.front(), bj);
     load_weights(bi, bj);
-    sow_.emplace(ctx_, fragment);
+    sow_.emplace(ctx_, fragment(lanes.front(), bj));
   }
 
   void relax(detail::SweepLane<Cell>& /*lane*/, std::size_t /*bi*/, std::size_t bj, Cell* out,
@@ -51,12 +52,15 @@ class PaperVisit : public detail::McpVisit {
     candidates(*sow_);
     detail::panel_row_reduce(index, row_end_, variant_, *sow_, min, arg);
     machine_.charge_panel_io(lane_beats);
-    for (std::size_t r = 0; r < bh; ++r) out[r] = Cell{min.at(r, 0), arg.at(r, 0)};
+    min.column(0, {min_col_.data(), bh});
+    arg.column(0, {arg_col_.data(), bh});
+    for (std::size_t r = 0; r < bh; ++r) out[r] = Cell{min_col_[r], arg_col_[r]};
   }
 
  private:
   MinVariant variant_;
   std::optional<Pint> sow_;
+  std::vector<Word> min_col_, arg_col_;  // column-0 readback scratch
 };
 
 }  // namespace

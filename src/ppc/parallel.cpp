@@ -205,6 +205,14 @@ void check_store_all_driven_plane(Context& ctx, std::span<const PlaneWord> rhs_d
   check_store_driven_plane(ctx, ctx.full_plane(), rhs_driven);
 }
 
+/// Every value fits the field iff their OR does: infinity is 2^h - 1, so a
+/// value is representable exactly when it has no bit at or above h.
+void require_representable(const Context& ctx, std::span<const Word> values) {
+  Word bits = 0;
+  for (const Word v : values) bits |= v;
+  PPA_REQUIRE(ctx.field().representable(bits), "initializer value does not fit in the field");
+}
+
 /// store_all's unmasked word-path variant.
 void check_store_all_driven(Context& ctx, std::span<const Flag> rhs_driven) {
   if (rhs_driven.empty()) return;
@@ -243,9 +251,7 @@ Pint::Pint(Context& ctx, Word init) : ctx_(&ctx) {
 
 Pint::Pint(Context& ctx, std::span<const Word> values) : ctx_(&ctx) {
   PPA_REQUIRE(values.size() == ctx.pe_count(), "initializer must cover the whole array");
-  for (const Word v : values) {
-    PPA_REQUIRE(ctx.field().representable(v), "initializer value does not fit in the field");
-  }
+  require_representable(ctx, values);
   if (ctx.bitplane()) {
     planes_ = ctx.acquire_value_planes();
     ctx.alu().pack_words(ctx.geometry(), values.data(), ctx.field().bits(),
@@ -253,6 +259,19 @@ Pint::Pint(Context& ctx, std::span<const Word> values) : ctx_(&ctx) {
   } else {
     data_ = ctx.acquire_words();
     std::copy(values.begin(), values.end(), data_.begin());
+  }
+  ctx.machine().charge_alu();
+}
+
+Pint::Pint(Context& ctx, const PanelImage& image) : ctx_(&ctx) {
+  PPA_REQUIRE(image.ctx_ == &ctx && image.kind_ == PanelImage::Kind::Int,
+              "a Pint loads an integer image of its own context");
+  if (ctx.bitplane()) {
+    planes_ = ctx.acquire_value_planes();
+    ctx.alu().op_copy(image.planes_.data(), planes_.data(), planes_.size());
+  } else {
+    data_ = ctx.acquire_words();
+    std::copy(image.words_.begin(), image.words_.end(), data_.begin());
   }
   ctx.machine().charge_alu();
 }
@@ -383,6 +402,26 @@ Word Pint::at(std::size_t row, std::size_t col) const {
   const std::size_t n = ctx_->n();
   PPA_REQUIRE(row < n && col < n, "PE coordinates out of range");
   return at(row * n + col);
+}
+
+void Pint::column(std::size_t col, std::span<Word> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(col < n && out.size() <= n, "PE coordinates out of range");
+  if (ctx_->bitplane()) {
+    const auto& g = ctx_->geometry();
+    const unsigned bit = sim::PlaneGeometry::bit_of(col);
+    std::fill(out.begin(), out.end(), Word{0});
+    const int h = ctx_->field().bits();
+    for (int j = 0; j < h; ++j) {
+      const PlaneWord* word =
+          planes_.data() + static_cast<std::size_t>(j) * g.plane_words() + g.word_of(0, col);
+      for (std::size_t r = 0; r < out.size(); ++r, word += g.row_words) {
+        out[r] |= static_cast<Word>((*word >> bit) & 1u) << j;
+      }
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] = data_[r * n + col];
 }
 
 Pbool Pint::bit(int j) const {
@@ -751,6 +790,19 @@ Pbool::Pbool(Context& ctx, std::span<const Flag> values) : ctx_(&ctx) {
   ctx.machine().charge_alu();
 }
 
+Pbool::Pbool(Context& ctx, const PanelImage& image) : ctx_(&ctx) {
+  PPA_REQUIRE(image.ctx_ == &ctx && image.kind_ == PanelImage::Kind::Bool,
+              "a Pbool loads a flag image of its own context");
+  if (ctx.bitplane()) {
+    plane_ = ctx.acquire_flag_plane();
+    std::copy(image.planes_.begin(), image.planes_.end(), plane_.begin());
+  } else {
+    data_ = ctx.acquire_flags();
+    std::copy(image.flags_.begin(), image.flags_.end(), data_.begin());
+  }
+  ctx.machine().charge_alu();
+}
+
 Pbool::Pbool(const Pbool& other) : ctx_(other.ctx_) {
   if (ctx_->bitplane()) {
     plane_ = ctx_->acquire_flag_plane();
@@ -860,6 +912,21 @@ bool Pbool::at(std::size_t row, std::size_t col) const {
   const std::size_t n = ctx_->n();
   PPA_REQUIRE(row < n && col < n, "PE coordinates out of range");
   return at(row * n + col);
+}
+
+void Pbool::column(std::size_t col, std::span<Flag> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(col < n && out.size() <= n, "PE coordinates out of range");
+  if (ctx_->bitplane()) {
+    const auto& g = ctx_->geometry();
+    const unsigned bit = sim::PlaneGeometry::bit_of(col);
+    const PlaneWord* word = plane_.data() + g.word_of(0, col);
+    for (std::size_t r = 0; r < out.size(); ++r, word += g.row_words) {
+      out[r] = static_cast<Flag>((*word >> bit) & 1u);
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] = data_[r * n + col];
 }
 
 std::size_t Pbool::count() const noexcept {
@@ -978,6 +1045,53 @@ Pint Pbool::to_pint() const {
   });
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out), copy_driven(ctx, driven_));
+}
+
+// ---------------------------------------------------------------------------
+// PanelImage
+// ---------------------------------------------------------------------------
+
+PanelImage::PanelImage(Context& ctx, Kind kind) : ctx_(&ctx), kind_(kind) {
+  if (ctx.bitplane()) {
+    const int planes = kind == Kind::Int ? ctx.field().bits() : 1;
+    planes_.assign(ctx.geometry().plane_words() * static_cast<std::size_t>(planes), 0);
+  } else if (kind == Kind::Int) {
+    words_.assign(ctx.pe_count(), 0);
+  } else {
+    flags_.assign(ctx.pe_count(), 0);
+  }
+}
+
+namespace {
+void require_whole_rows(const Context& ctx, std::size_t cells) {
+  PPA_REQUIRE(cells % ctx.n() == 0 && cells <= ctx.pe_count(),
+              "an image packs whole rows of the array");
+}
+}  // namespace
+
+void PanelImage::pack_rows(std::span<const Word> cells) {
+  Context& ctx = *ctx_;
+  PPA_REQUIRE(kind_ == Kind::Int, "word rows pack into an integer image");
+  require_whole_rows(ctx, cells.size());
+  require_representable(ctx, cells);
+  if (ctx.bitplane()) {
+    ctx.alu().kernels().pack_words(ctx.geometry(), cells.data(), ctx.field().bits(),
+                                   planes_.data(), 0, cells.size() / ctx.n());
+  } else {
+    std::copy(cells.begin(), cells.end(), words_.begin());
+  }
+}
+
+void PanelImage::pack_rows(std::span<const Flag> cells) {
+  Context& ctx = *ctx_;
+  PPA_REQUIRE(kind_ == Kind::Bool, "flag rows pack into a flag image");
+  require_whole_rows(ctx, cells.size());
+  if (ctx.bitplane()) {
+    sim::pack_flag_rows(ctx.geometry(), cells, planes_.data());
+  } else {
+    std::transform(cells.begin(), cells.end(), flags_.begin(),
+                   [](Flag f) { return f != 0 ? Flag{1} : Flag{0}; });
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,9 +19,13 @@
 //    UndrivenPolicy. Values that never touched a floating bus are always
 //    fully driven.
 //
-// Host-side introspection (at(), values()) reads the array without
-// charging steps — that is the controller peeking at local memories, used
-// for I/O and for assertions in tests.
+// Host-side introspection (at(), column(), values()) reads the array
+// without charging steps — that is the controller peeking at local
+// memories, used for I/O and for assertions in tests.
+//
+// A PanelImage is host data pre-packed in the register format, so the
+// controller can pack a panel once and load it many times (docs/tiling.md
+// "Panel images").
 #pragma once
 
 #include <span>
@@ -32,6 +36,7 @@
 namespace ppa::ppc {
 
 class Pbool;
+class PanelImage;
 
 /// Parallel h-bit unsigned integer (one per PE).
 class Pint {
@@ -44,6 +49,10 @@ class Pint {
   /// local memories, e.g. the weight matrix W). Unmasked. Every value must
   /// be representable in the field.
   Pint(Context& ctx, std::span<const Word> values);
+
+  /// Declaration initialized from a pre-packed integer image: a straight
+  /// copy that charges what the host-data constructor charges. Unmasked.
+  Pint(Context& ctx, const PanelImage& image);
 
   /// Clone — a fresh register unmasked-copied from `other` (buffer drawn
   /// from the context's register arena; charges nothing, like the old
@@ -70,6 +79,8 @@ class Pint {
   [[nodiscard]] std::span<const Word> values() const noexcept { return data_; }
   [[nodiscard]] Word at(std::size_t pe) const;
   [[nodiscard]] Word at(std::size_t row, std::size_t col) const;
+  /// Rows [0, out.size()) of column `col`, walking each plane once.
+  void column(std::size_t col, std::span<Word> out) const;
 
   /// BitPlane-backend storage: h contiguous planes (empty under Word).
   [[nodiscard]] std::span<const sim::PlaneWord> planes_view() const noexcept {
@@ -138,6 +149,8 @@ class Pbool {
  public:
   Pbool(Context& ctx, bool init);
   Pbool(Context& ctx, std::span<const Flag> values);
+  /// From a pre-packed flag image (see the Pint twin).
+  Pbool(Context& ctx, const PanelImage& image);
   Pbool(const Pbool& other);
   Pbool(Pbool&& other) noexcept = default;
   ~Pbool();
@@ -155,6 +168,8 @@ class Pbool {
   [[nodiscard]] std::span<const Flag> values() const noexcept { return data_; }
   [[nodiscard]] bool at(std::size_t pe) const;
   [[nodiscard]] bool at(std::size_t row, std::size_t col) const;
+  /// Rows [0, out.size()) of column `col` as 0/1 flags.
+  void column(std::size_t col, std::span<Flag> out) const;
 
   /// BitPlane-backend storage: one plane (empty under Word).
   [[nodiscard]] std::span<const sim::PlaneWord> plane_view() const noexcept {
@@ -197,6 +212,37 @@ class Pbool {
   std::vector<Flag> driven_;
   std::vector<sim::PlaneWord> plane_;
   std::vector<sim::PlaneWord> driven_plane_;
+};
+
+/// A register's contents packed in the context's storage format: h bit
+/// planes (an integer image, loaded into a Pint) or one plane (a flag
+/// image, loaded into a Pbool) under the BitPlane backend, per-PE words or
+/// flags under Word. A new image is all zero; pack_rows() fills leading
+/// rows from host data. Packing issues no instruction — the controller
+/// prepares the image off the array — and a load is a copy of it.
+class PanelImage {
+ public:
+  enum class Kind { Int, Bool };
+
+  PanelImage(Context& ctx, Kind kind);
+
+  /// Packs host rows (row-major, ctx.n() cells a row) into the first
+  /// cells.size() / ctx.n() rows of an integer image; later rows keep
+  /// their contents. Every value must be representable in the field.
+  void pack_rows(std::span<const Word> cells);
+  /// The flag-image twin (nonzero = set).
+  void pack_rows(std::span<const Flag> cells);
+
+ private:
+  friend class Pint;
+  friend class Pbool;
+
+  Context* ctx_;
+  Kind kind_;
+  // One representation populated, per the machine's ExecBackend.
+  std::vector<sim::PlaneWord> planes_;
+  std::vector<Word> words_;
+  std::vector<Flag> flags_;
 };
 
 /// ROW and COL — the coordinate constants every PPC program can read.

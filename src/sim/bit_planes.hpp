@@ -18,7 +18,10 @@
 // against the full mask answer "all PEs?" questions directly.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -133,15 +136,43 @@ inline void unpack_words(const PlaneGeometry& g, const PlaneWord* planes, int co
   }
 }
 
-inline void pack_flags(const PlaneGeometry& g, std::span<const Flag> src, PlaneWord* out) {
-  const std::size_t pw = g.plane_words();
-  for (std::size_t i = 0; i < pw; ++i) out[i] = 0;
-  for (std::size_t pe = 0; pe < src.size(); ++pe) {
-    if (src[pe] != 0) {
-      out[(pe / g.n) * g.row_words + (pe % g.n) / kLanesPerWord] |=
-          PlaneWord{1} << PlaneGeometry::bit_of(pe % g.n);
+/// Bit k of the result is set iff byte k of `bytes` (bits 8k..8k+7) is
+/// nonzero: the high bit of each byte is raised for a nonzero byte, and
+/// one multiply gathers the eight high bits into the top byte.
+[[nodiscard]] constexpr unsigned nonzero_bytes(std::uint64_t bytes) noexcept {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  const std::uint64_t high = (((bytes & kLow7) + kLow7) | bytes) & ~kLow7;
+  return static_cast<unsigned>((high * 0x0002040810204081ull) >> 56);
+}
+
+/// Packs the whole rows `src` holds (row-major, g.n flags a row, nonzero =
+/// set) into the first src.size() / g.n rows of a plane, building each row
+/// word from its lanes, eight at a time. Later rows are not touched.
+inline void pack_flag_rows(const PlaneGeometry& g, std::span<const Flag> src,
+                           PlaneWord* out) noexcept {
+  const std::size_t rows = src.size() / g.n;
+  const Flag* cell = src.data();
+  for (std::size_t i = 0; i < rows * g.row_words; ++i) {
+    const std::size_t lanes = std::min(kLanesPerWord, g.n - (i % g.row_words) * kLanesPerWord);
+    PlaneWord word = 0;
+    std::size_t l = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      for (; l + 8 <= lanes; l += 8) {
+        std::uint64_t bytes = 0;
+        std::memcpy(&bytes, cell + l, sizeof bytes);
+        word |= static_cast<PlaneWord>(nonzero_bytes(bytes)) << l;
+      }
     }
+    for (; l < lanes; ++l) word |= static_cast<PlaneWord>(cell[l] != 0) << l;
+    out[i] = word;
+    cell += lanes;
   }
+}
+
+/// Packs a whole array of per-PE flags into one plane.
+inline void pack_flags(const PlaneGeometry& g, std::span<const Flag> src, PlaneWord* out) {
+  pack_flag_rows(g, src, out);
+  for (std::size_t i = (src.size() / g.n) * g.row_words; i < g.plane_words(); ++i) out[i] = 0;
 }
 
 inline void unpack_flags(const PlaneGeometry& g, const PlaneWord* plane,

@@ -30,33 +30,33 @@ struct VecAvx512 {
 };
 
 /// 64 lanes per group: bit j of each 32-bit PE word is harvested with a
-/// vptestm mask — 16 lanes per 512-bit register, four registers per plane
-/// word.
+/// vptestm mask — 16 lanes per 512-bit register, up to four registers per
+/// plane word. A short group (a row narrower than 64 PEs, or a row's
+/// ragged tail) loads only its lanes, through a zero-masked load.
 void pack_words_rows_avx512(const sim::PlaneGeometry& g, const sim::Word* src,
                             int planes, sim::PlaneWord* out, std::size_t row_begin,
                             std::size_t row_end) {
   const std::size_t pw = g.plane_words();
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  alignas(64) sim::Word buf[sim::kLanesPerWord];
   for (std::size_t r = row_begin; r < row_end; ++r) {
     const sim::Word* row = src + r * n;
     for (std::size_t w = 0; w < rw; ++w) {
       const std::size_t lane0 = w * sim::kLanesPerWord;
       const std::size_t lanes = std::min(sim::kLanesPerWord, n - lane0);
-      const sim::Word* p = row + lane0;
-      if (lanes < sim::kLanesPerWord) {
-        std::memset(buf, 0, sizeof(buf));
-        std::memcpy(buf, p, lanes * sizeof(sim::Word));
-        p = buf;
-      }
+      const std::size_t regs = (lanes + 15) / 16;
       __m512i v[4];
-      for (int k = 0; k < 4; ++k) v[k] = _mm512_loadu_si512(p + 16 * k);
+      for (std::size_t k = 0; k < regs; ++k) {
+        const std::size_t left = lanes - 16 * k;
+        const __mmask16 live =
+            left >= 16 ? __mmask16{0xFFFF} : static_cast<__mmask16>((1u << left) - 1u);
+        v[k] = _mm512_maskz_loadu_epi32(live, row + lane0 + 16 * k);
+      }
       const std::size_t idx = r * rw + w;
       for (int j = 0; j < planes; ++j) {
         const __m512i bit = _mm512_set1_epi32(1 << j);
         std::uint64_t m = 0;
-        for (int k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < regs; ++k) {
           m |= static_cast<std::uint64_t>(_mm512_test_epi32_mask(v[k], bit)) << (16 * k);
         }
         out[static_cast<std::size_t>(j) * pw + idx] = m;

@@ -12,10 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "active_panels.hpp"
 #include "graph/generators.hpp"
-#include "mcp/mcp.hpp"
-#include "mcp/tiled.hpp"
-#include "obs/collector.hpp"
 #include "sim/step_counter.hpp"
 #include "util/rng.hpp"
 
@@ -23,44 +21,9 @@ namespace ppa {
 namespace {
 
 using sim::StepCategory;
-
-struct ScheduledRun {
-  mcp::Result result;
-  std::uint64_t visited = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t saved = 0;
-};
-
-ScheduledRun run_tiled(const graph::WeightMatrix& g, graph::Vertex destination,
-                       std::size_t p, sim::ExecBackend backend, bool active) {
-  obs::Collector collector;
-  mcp::Options options;
-  options.backend = backend;
-  options.array_side = p;
-  options.active_panels = active;
-  options.observer = &collector;
-  ScheduledRun run;
-  run.result = mcp::solve(g, destination, options);
-  // The skip/saved counters only exist on an active-schedule run; read
-  // them as zero when absent so dense runs flow through the same struct.
-  const auto& counters = collector.metrics().counters();
-  const auto value = [&](std::string_view name) -> std::uint64_t {
-    const auto it = counters.find(std::string(name));
-    return it == counters.end() ? 0u : it->second.value();
-  };
-  run.visited = value(obs::metric::kSolverPanels);
-  run.skipped = value(obs::metric::kSolverPanelsSkipped);
-  run.saved = value(obs::metric::kSolverPanelIoSaved);
-  return run;
-}
-
-void expect_same_rows(const mcp::Result& a, const mcp::Result& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.solution.cost, b.solution.cost) << label;
-  ASSERT_EQ(a.solution.next, b.solution.next) << label;
-  ASSERT_EQ(a.iterations, b.iterations) << label;
-  ASSERT_EQ(a.outcome, b.outcome) << label;
-}
+using test::expect_same_rows;
+using test::run_tiled;
+using test::ScheduledRun;
 
 TEST(ActivePanels, HugeSparseGraphBitIdenticalAndStrictlyCheaper) {
   // 4096 vertices on a 64 x 64 array. The power-law family keeps the

@@ -8,6 +8,8 @@
 // regression — it must be deliberate and explained in the commit.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "graph/generators.hpp"
 #include "mcp/mcp.hpp"
 #include "util/rng.hpp"
@@ -21,6 +23,10 @@ struct Pinned {
   std::uint64_t total_steps;
   const char* summary;
 };
+
+// gtest prints a parameter into the ctest name; print the workload size,
+// not the struct's bytes (its `summary` pointer differs between builds).
+void PrintTo(const Pinned& pin, std::ostream* os) { *os << "n" << pin.n; }
 
 graph::WeightMatrix bench_graph(std::size_t n) {
   util::Rng rng(n);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "plane_ops.hpp"
@@ -229,6 +230,44 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
         arm->pack_words(g, src.data(), planes, split.data(), 0, mid);
         EXPECT_EQ(want, split);
       }
+    }
+  }
+}
+
+TEST(PlaneKernels, PackFlagsMatchesPerPeFormula) {
+  util::Rng rng(0xE7'0005);
+  for (const std::size_t n : {1u, 33u, 63u, 64u, 65u, 130u}) {
+    const PlaneGeometry g{n};
+    const std::size_t pw = g.plane_words();
+    std::vector<sim::Flag> src(n * n);
+    // Any nonzero byte is set (0x80 and 0xFF included).
+    for (auto& f : src) f = static_cast<sim::Flag>(rng.below(2) != 0 ? rng.below(256) : 0);
+
+    // The per-PE formula: PE `pe` sits at row pe / n, column pe % n.
+    std::vector<PlaneWord> want(pw, 0);
+    for (std::size_t pe = 0; pe < src.size(); ++pe) {
+      if (src[pe] != 0) {
+        want[(pe / n) * g.row_words + (pe % n) / sim::kLanesPerWord] |=
+            PlaneWord{1} << ((pe % n) % sim::kLanesPerWord);
+      }
+    }
+    std::vector<PlaneWord> got(pw, 0xABABABABu);
+    sim::pack_flags(g, src, got.data());
+    EXPECT_EQ(want, got) << "pack_flags n=" << n;
+
+    std::vector<sim::Flag> back(n * n);
+    sim::unpack_flags(g, got.data(), back);
+    for (std::size_t pe = 0; pe < src.size(); ++pe) {
+      ASSERT_EQ(back[pe], src[pe] != 0 ? 1 : 0) << "round trip n=" << n << " pe=" << pe;
+    }
+
+    // pack_flag_rows writes the leading rows it is given and nothing else.
+    const std::size_t rows = (n + 1) / 2;
+    std::vector<PlaneWord> partial(pw, 0x5555u);
+    sim::pack_flag_rows(g, std::span<const sim::Flag>(src).first(rows * n), partial.data());
+    for (std::size_t i = 0; i < pw; ++i) {
+      ASSERT_EQ(partial[i], i < rows * g.row_words ? want[i] : PlaneWord{0x5555u})
+          << "pack_flag_rows n=" << n << " word=" << i;
     }
   }
 }
