@@ -82,15 +82,6 @@ inline graph::WeightMatrix chain_with_direct(std::size_t n, std::size_t p, int b
   return g;
 }
 
-/// Fresh host-sequential PPA machine matching a graph.
-inline sim::Machine machine_for(const graph::WeightMatrix& g, std::size_t host_threads = 1) {
-  sim::MachineConfig cfg;
-  cfg.n = g.size();
-  cfg.bits = g.field().bits();
-  cfg.host_threads = host_threads;
-  return sim::Machine(cfg);
-}
-
 /// Steps spent per relaxation iteration, excluding the init phase.
 inline double per_iteration_steps(std::uint64_t total, std::uint64_t init,
                                   std::size_t iterations) {

@@ -2,18 +2,19 @@
 //
 // Not a paper claim but a property of this reproduction: the SIMD
 // simulator applies every instruction to n^2 PEs, so host wall-clock per
-// SIMD step scales with the array area, and the machine can split PE
-// sweeps over host threads without changing any result (determinism is
-// covered by the test suite; here we measure the speed).
+// SIMD step scales with the array area. Host threads run whole
+// destinations (all-pairs workers), one machine each, without changing
+// any result (determinism is covered by the test suite; here we measure
+// the speed).
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "mcp/allpairs.hpp"
 #include "sim/plane_kernels.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -61,15 +62,13 @@ Throughput best_throughput(Run&& run) {
   return best;
 }
 
-Throughput run_once(std::size_t n, std::size_t host_threads,
-                    sim::ExecBackend backend = sim::ExecBackend::Words) {
+Throughput run_once(std::size_t n, sim::ExecBackend backend) {
   util::Rng rng(n);
   const auto g =
       graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
   sim::MachineConfig cfg;
   cfg.n = n;
   cfg.bits = 16;
-  cfg.host_threads = host_threads;
   cfg.backend = backend;
   return best_throughput([&] {
     sim::Machine machine(cfg);
@@ -156,26 +155,6 @@ void print_tables() {
                       "simulation artifact metric: wall-clock per SIMD step and host "
                       "thread speedup");
 
-  util::Table table("E6: PPA MCP end-to-end on random reachable graphs (h=16)",
-                    {"n", "threads", "SIMD steps", "wall ms", "PE-ops/s", "speedup vs 1T"});
-  for (const std::size_t n : {32u, 64u, 96u}) {
-    double base_seconds = 0;
-    for (const std::size_t threads : {1u, 2u}) {
-      const auto t = run_once(n, threads);
-      if (threads == 1) base_seconds = t.seconds;
-      table.add_row({static_cast<std::int64_t>(n), static_cast<std::int64_t>(threads),
-                     static_cast<std::int64_t>(t.steps), t.seconds * 1e3,
-                     t.pe_ops / t.seconds, base_seconds / t.seconds});
-    }
-  }
-  bench::emit(table);
-  std::printf(
-      "Honest result: at these array sizes one SIMD instruction sweeps only n^2 <= 9216\n"
-      "elements, far below the pool's hand-off cost, so per-instruction threading LOSES\n"
-      "(speedup < 1). The pool-scaling benchmark below shows the same pool winning once a\n"
-      "single sweep is large enough; a production simulator would batch instructions or\n"
-      "vectorize instead. Determinism across thread counts is covered by the test suite.\n\n");
-
   std::vector<bench::PerfRecord> records;
 
   // Backend comparison: the same workload (identical SIMD steps by
@@ -188,7 +167,7 @@ void print_tables() {
     double word_seconds = 0;
     for (const sim::ExecBackend backend :
          {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
-      const auto t = run_once(n, 1, backend);
+      const auto t = run_once(n, backend);
       if (backend == sim::ExecBackend::Words) word_seconds = t.seconds;
       backends.add_row({static_cast<std::int64_t>(n), backend_name(backend),
                         static_cast<std::int64_t>(t.steps), t.seconds * 1e3,
@@ -291,31 +270,27 @@ void print_tables() {
 
 void BM_McpEndToEnd(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
   util::Rng rng(n);
   const auto g =
       graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
   sim::MachineConfig cfg;
   cfg.n = n;
   cfg.bits = 16;
-  cfg.host_threads = threads;
-  cfg.backend = state.range(2) != 0 ? sim::ExecBackend::BitPlane : sim::ExecBackend::Words;
+  cfg.backend = state.range(1) != 0 ? sim::ExecBackend::BitPlane : sim::ExecBackend::Words;
   for (auto _ : state) {
     sim::Machine machine(cfg);
     const auto r = mcp::minimum_cost_path(machine, g, 0);
     benchmark::DoNotOptimize(r.iterations);
   }
 }
-// Third arg: 0 = word backend, 1 = bit-plane backend.
+// Second arg: 0 = word backend, 1 = bit-plane backend.
 BENCHMARK(BM_McpEndToEnd)
-    ->Args({32, 1, 0})
-    ->Args({32, 2, 0})
-    ->Args({64, 1, 0})
-    ->Args({64, 2, 0})
-    ->Args({32, 1, 1})
-    ->Args({64, 1, 1})
-    ->Args({128, 1, 0})
-    ->Args({128, 1, 1});
+    ->Args({32, 0})
+    ->Args({64, 0})
+    ->Args({32, 1})
+    ->Args({64, 1})
+    ->Args({128, 0})
+    ->Args({128, 1});
 
 void BM_BusBroadcastSweep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -334,33 +309,6 @@ void BM_BusBroadcastSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_BusBroadcastSweep)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_PoolSweepScaling(benchmark::State& state) {
-  // The pool itself scales once a sweep is big enough: one elementwise op
-  // over `elements` words (equivalent to a SIMD instruction on an array of
-  // side sqrt(elements)).
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto elements = static_cast<std::size_t>(state.range(1));
-  util::ThreadPool pool(threads);
-  std::vector<sim::Word> a(elements, 3);
-  std::vector<sim::Word> b(elements, 5);
-  std::vector<sim::Word> out(elements);
-  for (auto _ : state) {
-    pool.parallel_for(elements, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = a[i] * 7u + b[i];
-      }
-    });
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(elements));
-}
-BENCHMARK(BM_PoolSweepScaling)
-    ->Args({1, 1 << 14})
-    ->Args({2, 1 << 14})
-    ->Args({1, 1 << 22})
-    ->Args({2, 1 << 22});
 
 }  // namespace
 

@@ -6,7 +6,6 @@
 #include "mcp/verify.hpp"
 #include "obs/collector.hpp"
 #include "ppc/primitives.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::mcp::detail {
 
@@ -134,41 +133,14 @@ void record_plan_cache_delta(const sim::Machine& machine,
   metrics.counter(obs::metric::kPlanCacheMisses).add(now.misses - entry.misses);
 }
 
-/// Records the kernel-sweep billing delta as the simd.sweep.* counters
-/// (deterministic: billed per sweep on the controller thread, so pool-size
-/// and min-words independent) and the host pool's per-lane busy delta as
-/// the pool.* gauges (timing; gauge merge keeps the worst case seen).
-void record_throughput_delta(sim::Machine& machine,
+/// Records the kernel-sweep billing delta as the simd.sweep.* counters.
+void record_throughput_delta(const sim::Machine& machine,
                              const sim::plane_kernels::SweepStats& sweeps_at_entry,
-                             const std::vector<double>& pool_busy_at_entry,
                              obs::Collector& observer) {
   obs::MetricsRegistry& metrics = observer.metrics();
   const sim::plane_kernels::SweepStats delta = machine.sweep_stats().since(sweeps_at_entry);
   metrics.counter(obs::metric::kSweepDispatches).add(delta.dispatches);
   metrics.counter(obs::metric::kSweepWords).add(delta.words);
-
-  util::ThreadPool* const pool = machine.host_pool();
-  if (pool == nullptr) return;
-  // The pool may be shared by several machines, so this is an upper bound
-  // under concurrency — which is exactly the pessimism a worst-case gauge
-  // wants.
-  const std::vector<double> now = pool->busy_seconds();
-  double max_busy = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < now.size(); ++i) {
-    const double before = i < pool_busy_at_entry.size() ? pool_busy_at_entry[i] : 0.0;
-    const double lane = now[i] - before;
-    max_busy = std::max(max_busy, lane);
-    total += lane;
-  }
-  if (max_busy <= 0.0) return;  // the pool never ran during this call
-  obs::Gauge& busy = metrics.gauge(obs::metric::kPoolBusyMax);
-  busy.set(std::max(busy.value(), max_busy));
-  const double mean = total / static_cast<double>(now.size());
-  if (mean > 0.0) {
-    obs::Gauge& imbalance = metrics.gauge(obs::metric::kPoolImbalance);
-    imbalance.set(std::max(imbalance.value(), max_busy / mean));
-  }
 }
 
 }  // namespace
@@ -194,11 +166,7 @@ SolveScope::SolveScope(sim::Machine& machine, const Options& options, std::strin
       faults_at_entry_(machine.fault_count()),
       plans_at_entry_(machine.plan_cache_stats()),
       masking_at_entry_(machine.masking_stats()),
-      sweeps_at_entry_(machine.sweep_stats()) {
-  if (options.observer != nullptr && machine.host_pool() != nullptr) {
-    pool_busy_at_entry_ = machine.host_pool()->busy_seconds();
-  }
-}
+      sweeps_at_entry_(machine.sweep_stats()) {}
 
 void SolveScope::settle(const graph::WeightMatrix& graph, std::span<Result> results) {
   obs::Collector* const observer = options_.observer;
@@ -206,7 +174,7 @@ void SolveScope::settle(const graph::WeightMatrix& graph, std::span<Result> resu
   const sim::MaskingStats masking = machine_.masking_stats().since(masking_at_entry_);
   if (observer != nullptr) {
     record_plan_cache_delta(machine_, plans_at_entry_, *observer);
-    record_throughput_delta(machine_, sweeps_at_entry_, pool_busy_at_entry_, *observer);
+    record_throughput_delta(machine_, sweeps_at_entry_, *observer);
     if (masking.votes != 0) {
       obs::MetricsRegistry& metrics = observer->metrics();
       metrics.counter(obs::metric::kMaskVotes).add(masking.votes);

@@ -189,7 +189,6 @@ class SolveScope {
   sim::Machine::PlanCacheStats plans_at_entry_;
   sim::MaskingStats masking_at_entry_;
   sim::plane_kernels::SweepStats sweeps_at_entry_;
-  std::vector<double> pool_busy_at_entry_;  // per-lane, observed runs only
 };
 
 /// The degraded Results of an attempt a fault aborted: every destination

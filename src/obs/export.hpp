@@ -21,7 +21,7 @@ struct RunInfo {
   std::string workload;  // "mcp" | "all_pairs" | ...
   std::string backend;   // "word" | "bitplane"
   std::size_t n = 0;
-  std::size_t host_threads = 1;
+  std::size_t host_threads = 1;  // host workers (all-pairs --workers)
   /// Destinations per shared machine pass (docs/batching.md); 1 = the
   /// per-destination engine. Part of the perf gate's configuration key.
   std::size_t batch_width = 1;

@@ -9,8 +9,7 @@ namespace ppa::ppc {
 
 Context::Context(sim::Machine& machine)
     : machine_(machine),
-      alu_(sim::plane_kernels::active(), machine.host_pool(),
-           machine.config().plane_sweep_min_words, machine.mutable_sweep_stats()) {
+      alu_(sim::plane_kernels::active(), machine.mutable_sweep_stats()) {
   if (bitplane()) {
     full_.resize(geometry().plane_words());
     sim::plane_fill_full(geometry(), full_.data());
@@ -38,9 +37,7 @@ void Context::push_mask_and(std::span<const Flag> cond) {
   const Flag* pt = top.data();
   const Flag* pc = cond.data();
   Flag* pn = next.data();
-  machine_.for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/false, begin, end);
-  });
+  flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/false, pe_count());
   machine_.charge_alu();
   stack_.push_back(std::move(next));
 }
@@ -52,9 +49,7 @@ void Context::push_mask_and_not(std::span<const Flag> cond) {
   const Flag* pt = top.data();
   const Flag* pc = cond.data();
   Flag* pn = next.data();
-  machine_.for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/true, begin, end);
-  });
+  flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/true, pe_count());
   machine_.charge_alu();
   stack_.push_back(std::move(next));
 }

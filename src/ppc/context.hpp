@@ -46,8 +46,8 @@ class Context {
   /// The all-PEs mask plane (1 on every PE, 0 on pads).
   [[nodiscard]] const sim::PlaneWord* full_plane() const noexcept { return full_.data(); }
 
-  /// The bit-plane ALU: the runtime-dispatched SIMD kernel table, bound to
-  /// the machine's thread pool for big sweeps (sim/plane_kernels.hpp). Every
+  /// The bit-plane ALU: the runtime-dispatched SIMD kernel table, billing
+  /// its sweeps to the machine (sim/plane_kernels.hpp). Every
   /// plane-backend elementwise operation goes through it.
   [[nodiscard]] const sim::plane_kernels::PlaneAlu& alu() const noexcept { return alu_; }
 

@@ -333,11 +333,10 @@ Pint& Pint::operator=(const Pint& rhs) {
   const Flag* pm = mask.data();
   const Word* ps = rhs.data_.data();
   Word* pd = data_.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      if (pm[pe]) pd[pe] = ps[pe];
-    }
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) {
+    if (pm[pe]) pd[pe] = ps[pe];
+  }
   if (!driven_.empty()) {
     // Written cells now hold defined values (undriven reads were rejected
     // or zeroed above).
@@ -439,11 +438,10 @@ Pbool Pint::bit(int j) const {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* ps = data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      po[pe] = static_cast<Flag>((ps[pe] >> j) & 1u);
-    }
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) {
+    po[pe] = static_cast<Flag>((ps[pe] >> j) & 1u);
+  }
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), copy_driven(ctx, driven_));
 }
@@ -467,11 +465,10 @@ Pint Pint::or_bit(int j, const Pbool& flag) const {
   const Flag* pf = flag.values().data();
   const Word* ps = data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      po[pe] = ps[pe] | (pf[pe] ? (Word{1} << j) : Word{0});
-    }
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) {
+    po[pe] = ps[pe] | (pf[pe] ? (Word{1} << j) : Word{0});
+  }
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, driven_, flag.driven_view()));
@@ -499,9 +496,8 @@ Pint operator+(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=, &field](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = field.add(pa[pe], pb[pe]);
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = field.add(pa[pe], pb[pe]);
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, a.driven_, b.driven_));
@@ -527,9 +523,8 @@ Pint operator+(const Pint& a, Word b) {
   std::vector<Word> out = ctx.acquire_words();
   const Word* pa = a.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=, &field](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = field.add(pa[pe], b);
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = field.add(pa[pe], b);
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -579,9 +574,8 @@ Pint detail_access::pick(const Pint& a, const Pint& b, bool max, Op op) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], pb[pe]) ? pa[pe] : pb[pe];
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = op(pa[pe], pb[pe]) ? pa[pe] : pb[pe];
   ctx.machine().charge_alu();
   return raw_pint(ctx, std::move(out), combine_driven(ctx, a.driven_, b.driven_));
 }
@@ -640,9 +634,8 @@ Pbool detail_access::compare(const Pint& a, const Pint& b, CompareKind kind, Op 
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], pb[pe]) ? Flag{1} : Flag{0};
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = op(pa[pe], pb[pe]) ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, b.driven_));
 }
@@ -660,9 +653,8 @@ Pbool detail_access::compare(const Pint& a, Word b, CompareKind kind, Op op) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = op(pa[pe], b) ? Flag{1} : Flag{0};
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = op(pa[pe], b) ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -727,9 +719,8 @@ Pint select(const Pbool& cond, const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pc[pe] ? pa[pe] : pb[pe];
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = pc[pe] ? pa[pe] : pb[pe];
   ctx.machine().charge_alu();
   // Driven-ness follows the SELECTED operand per element (a tainted
   // condition taints everything).
@@ -855,9 +846,7 @@ Pbool& Pbool::operator=(const Pbool& rhs) {
   const Flag* pm = mask.data();
   const Flag* ps = rhs.data_.data();
   Flag* pd = data_.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::masked_assign_flags(pm, ps, pd, begin, end);
-  });
+  flag_sweep::masked_assign_flags(pm, ps, pd, ctx.pe_count());
   if (!driven_.empty()) {
     Flag* pv = driven_.data();
     for (std::size_t pe = 0; pe < driven_.size(); ++pe) {
@@ -950,9 +939,7 @@ Pbool operator!(const Pbool& a) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Flag* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::not_flags(pa, po, begin, end);
-  });
+  flag_sweep::not_flags(pa, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), copy_driven(ctx, a.driven_));
 }
@@ -971,9 +958,7 @@ Pbool operator&(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::and_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::and_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -993,9 +978,7 @@ Pbool operator|(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::or_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::or_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -1015,9 +998,7 @@ Pbool operator^(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::xor_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::xor_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -1040,9 +1021,8 @@ Pint Pbool::to_pint() const {
   std::vector<Word> out = ctx.acquire_words();
   const Flag* ps = data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = ps[pe] ? 1u : 0u;
-  });
+  const std::size_t count = ctx.pe_count();
+  for (std::size_t pe = 0; pe < count; ++pe) po[pe] = ps[pe] ? 1u : 0u;
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out), copy_driven(ctx, driven_));
 }

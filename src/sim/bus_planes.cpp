@@ -1,7 +1,6 @@
 #include "sim/bus_planes.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "util/check.hpp"
@@ -18,38 +17,6 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 [[nodiscard]] std::size_t flow_row(std::size_t n, Direction dir, std::size_t k) noexcept {
   return dir == Direction::South ? k : n - 1 - k;
-}
-
-/// max_segment partials from concurrent chunks merge with max, which is
-/// commutative and idempotent — the result is identical for every chunk
-/// interleaving (and every pool size).
-void merge_max(std::atomic<std::size_t>& into, std::size_t value) noexcept {
-  std::size_t cur = into.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !into.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-/// True when the cycle is big enough to amortize fanning it out over the
-/// pool. The plan cache serves only inline cycles (the paper-scale
-/// configuration), so the chunked resolvers stay exactly as profiled.
-[[nodiscard]] bool would_chunk(const PlaneBusExec& exec, std::size_t total_units,
-                               std::size_t total_words) noexcept {
-  return exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
-         total_words >= exec.min_words;
-}
-
-/// Runs `body(begin, end)` over [0, total_units), chunked across the pool
-/// when would_chunk says so. Chunks own disjoint unit ranges, so bodies
-/// never race on output words.
-template <typename Body>
-void run_chunked(const PlaneBusExec& exec, std::size_t total_units,
-                 std::size_t total_words, const Body& body) {
-  if (would_chunk(exec, total_units, total_words)) {
-    exec.pool->parallel_for(total_units, body);
-  } else {
-    body(0, total_units);
-  }
 }
 
 /// Grows (never shrinks) a scratch vector to `need` elements.
@@ -243,16 +210,18 @@ void fill_row_west(const PlaneWord* open, const PlaneWord* in, std::size_t row_w
   }
 }
 
-/// Row broadcast of rows [r_begin, r_end); returns their max_segment.
-/// Fill j < fills - 1 reads plane j of `src` into plane j of `out`; the
-/// last fill reads `open` into `driven`.
-std::size_t row_broadcast_rows(std::size_t n, bool ring, bool east, const PlaneWord* src,
-                               std::size_t fills, const PlaneWord* open, PlaneWord* out,
-                               PlaneWord* driven, std::size_t r_begin, std::size_t r_end) {
-  const PlaneGeometry geometry(n);
-  const std::size_t rw = geometry.row_words;
-  const std::size_t pw = geometry.plane_words();
-  const PlaneWord last_mask = geometry.word_mask(rw - 1);
+/// Row broadcast; returns max_segment. Fill j < planes reads plane j of
+/// `src` into plane j of `out`; the last fill reads `open` into `driven`.
+std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                          const PlaneWord* src, int planes, const PlaneWord* open,
+                          PlaneWord* out, PlaneWord* driven) {
+  const std::size_t n = g.n;
+  const bool ring = topology == BusTopology::Ring;
+  const bool east = dir == Direction::East;
+  const auto fills = static_cast<std::size_t>(planes) + 1;
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const PlaneWord last_mask = g.word_mask(rw - 1);
   // Rows go in blocks: first each row's switch facts, sorting the rows by
   // how they fill, then every plane's slice of the block in turn. Each
   // plane streams through consecutive words (touching all planes of one
@@ -268,8 +237,8 @@ std::size_t row_broadcast_rows(std::size_t n, bool ring, bool east, const PlaneW
   RowRef segmented[kBlock];      // any other row with an Open switch
   std::size_t floating[kBlock];  // no Open switch: the whole row floats (zeros)
   std::size_t max_segment = 0;
-  for (std::size_t rb = r_begin; rb < r_end; rb += kBlock) {
-    const std::size_t re = std::min(rb + kBlock, r_end);
+  for (std::size_t rb = 0; rb < n; rb += kBlock) {
+    const std::size_t re = std::min(rb + kBlock, n);
     std::size_t n_whole = 0;
     std::size_t n_segmented = 0;
     std::size_t n_floating = 0;
@@ -328,21 +297,6 @@ std::size_t row_broadcast_rows(std::size_t n, bool ring, bool east, const PlaneW
     }
   }
   return max_segment;
-}
-
-std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                          const PlaneWord* src, int planes, const PlaneWord* open,
-                          PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
-  const std::size_t n = g.n;
-  const bool ring = topology == BusTopology::Ring;
-  const bool east = dir == Direction::East;
-  const auto fills = static_cast<std::size_t>(planes) + 1;
-  std::atomic<std::size_t> max_segment{0};
-  run_chunked(exec, n, g.plane_words() * fills, [&](std::size_t r_begin, std::size_t r_end) {
-    merge_max(max_segment, row_broadcast_rows(n, ring, east, src, fills, open, out, driven,
-                                              r_begin, r_end));
-  });
-  return max_segment.load(std::memory_order_relaxed);
 }
 
 /// Rebuilds `plan` for one (topology, dir, open) wired-OR configuration:
@@ -405,62 +359,46 @@ void build_row_wired_or_plan(const PlaneGeometry& g, BusTopology topology, Direc
 
 std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
-                         const PlaneBusExec& exec) {
+                         PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
 
-  RowWiredOrPlan local_plan;
-  RowWiredOrPlan& plan =
-      exec.scratch != nullptr ? exec.scratch->wired_or_plan : local_plan;
+  RowWiredOrPlan& plan = s.wired_or_plan;
   if (plan.n != n || plan.topology != static_cast<std::uint8_t>(topology) ||
       plan.dir != static_cast<std::uint8_t>(dir) ||
       !std::equal(plan.open.begin(), plan.open.end(), open, open + pw)) {
     build_row_wired_or_plan(g, topology, dir, open, plan);
   }
 
-  run_chunked(exec, n, pw, [&](std::size_t r_begin, std::size_t r_end) {
-    const auto fast_lo = std::lower_bound(plan.fast_rows.begin(), plan.fast_rows.end(),
-                                          static_cast<std::uint32_t>(r_begin));
-    const auto fast_hi = std::lower_bound(fast_lo, plan.fast_rows.end(),
-                                          static_cast<std::uint32_t>(r_end));
-    for (auto it = fast_lo; it != fast_hi; ++it) {
-      const std::size_t r = *it;
-      PlaneWord any = 0;
-      for (std::size_t w = 0; w < rw; ++w) any |= src[r * rw + w];
-      for (std::size_t w = 0; w < rw; ++w) {
-        out[r * rw + w] = any != 0 ? g.word_mask(w) : PlaneWord{0};
-      }
+  for (const std::size_t r : plan.fast_rows) {
+    PlaneWord any = 0;
+    for (std::size_t w = 0; w < rw; ++w) any |= src[r * rw + w];
+    for (std::size_t w = 0; w < rw; ++w) {
+      out[r * rw + w] = any != 0 ? g.word_mask(w) : PlaneWord{0};
     }
-    const auto by_row = [](const RowWiredOrPlan::Seg& s, std::uint32_t row) {
-      return s.row < row;
-    };
-    const auto seg_lo = std::lower_bound(plan.segs.begin(), plan.segs.end(),
-                                         static_cast<std::uint32_t>(r_begin), by_row);
-    const auto seg_hi = std::lower_bound(seg_lo, plan.segs.end(),
-                                         static_cast<std::uint32_t>(r_end), by_row);
-    std::size_t last_zeroed = kNone;
-    for (auto it = seg_lo; it != seg_hi; ++it) {
-      const std::size_t r = it->row;
-      if (r != last_zeroed) {
-        for (std::size_t w = 0; w < rw; ++w) out[r * rw + w] = 0;
-        last_zeroed = r;
-      }
-      bool v = any_in_col_range(g, src, r, it->clo, it->chi);
-      if (it->fuse_next != 0) {
-        // A ring's tail + head pair reads as one segment across the wrap.
-        const auto& head = *(it + 1);
-        v = v || any_in_col_range(g, src, r, head.clo, head.chi);
-        if (v) {
-          fill_col_range(g, out, r, it->clo, it->chi);
-          fill_col_range(g, out, r, head.clo, head.chi);
-        }
-        ++it;
-      } else if (v) {
+  }
+  std::size_t last_zeroed = kNone;
+  for (auto it = plan.segs.begin(); it != plan.segs.end(); ++it) {
+    const std::size_t r = it->row;
+    if (r != last_zeroed) {
+      for (std::size_t w = 0; w < rw; ++w) out[r * rw + w] = 0;
+      last_zeroed = r;
+    }
+    bool v = any_in_col_range(g, src, r, it->clo, it->chi);
+    if (it->fuse_next != 0) {
+      // A ring's tail + head pair reads as one segment across the wrap.
+      const auto& head = *(it + 1);
+      v = v || any_in_col_range(g, src, r, head.clo, head.chi);
+      if (v) {
         fill_col_range(g, out, r, it->clo, it->chi);
+        fill_col_range(g, out, r, head.clo, head.chi);
       }
+      ++it;
+    } else if (v) {
+      fill_col_range(g, out, r, it->clo, it->chi);
     }
-  });
+  }
   return plan.max_segment;
 }
 
@@ -520,10 +458,52 @@ std::size_t column_max_segment(const PlaneGeometry& g, BusTopology topology, Dir
   return max_segment;
 }
 
-/// Column-broadcast pass 2 over the full word range: carry the latest
-/// driver word down the flow, reading the pass-1 products (per-row driven
-/// and wrap-carry masks) from wherever they live — the scratch block on
-/// the plain path, a cached plan on a hit.
+/// Column-broadcast pass 1 (plane-independent): per-row driven masks and
+/// the ring's wrap extent. have_k[k * rw + w] is the driven mask of flow
+/// row k — the lanes that saw an Open switch strictly upstream — and
+/// driven[] is exactly "have before this row"; pend_k is the wrap-carry
+/// mask per row (written on a ring only). Returns the number of rows the
+/// wrap reaches.
+std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                         const PlaneWord* open, PlaneWord* driven, PlaneWord* have_k,
+                         PlaneWord* pend_k, PlaneWord* state) {
+  const std::size_t n = g.n;
+  const std::size_t rw = g.row_words;
+  std::fill(state, state + rw, PlaneWord{0});
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t base = flow_row(n, dir, k) * rw;
+    for (std::size_t w = 0; w < rw; ++w) {
+      const PlaneWord ow = open[base + w];
+      have_k[k * rw + w] = state[w];
+      driven[base + w] = state[w];
+      state[w] |= ow;
+    }
+  }
+  std::size_t k_stop = 0;
+  if (topology == BusTopology::Ring) {
+    // Wrap: every lane's prefix through its FIRST Open row reads the
+    // signal carried around from its LAST Open row.
+    for (std::size_t k = 0; k < n; ++k) {
+      PlaneWord alive = 0;
+      const std::size_t base = flow_row(n, dir, k) * rw;
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord ow = open[base + w];
+        alive |= state[w];
+        pend_k[k * rw + w] = state[w];
+        driven[base + w] |= state[w];
+        state[w] &= ~ow;
+      }
+      if (alive == 0) break;
+      k_stop = k + 1;
+    }
+  }
+  return k_stop;
+}
+
+/// Column-broadcast pass 2, per plane: carry the latest driver word down
+/// the flow, reading the pass-1 products from wherever they live — the
+/// scratch block on the plain path, a cached plan on a hit. All accesses
+/// at row k are consecutive words, so this vectorizes.
 void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
                   const PlaneWord* open, PlaneWord* out, const PlaneWord* have_k,
                   const PlaneWord* pend_k, std::size_t k_stop, PlaneWord* cur) {
@@ -551,227 +531,122 @@ void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, i
   }
 }
 
-/// Fused miss path: column_broadcast's pass 1 writing its per-row products
-/// straight into `plan` (same stores, different destination), then the
-/// shared pass 2 — a miss costs what the plain resolver costs.
-void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                             const PlaneWord* src, int planes, const PlaneWord* open,
-                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s,
-                             BroadcastPlan& plan) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  plan.open.assign(open, open + g.plane_words());
-  plan.n = n;
-  plan.topology = static_cast<std::uint8_t>(topology);
-  plan.dir = static_cast<std::uint8_t>(dir);
-  plan.col_have.resize(n * rw);
-  plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
-  PlaneWord* have_k = plan.col_have.data();
-  PlaneWord* pend_k = plan.col_pend.data();
-  PlaneWord* state = grown(s.lane_a, rw);
-  std::fill(state, state + rw, PlaneWord{0});
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t base = flow_row(n, dir, k) * rw;
-    for (std::size_t w = 0; w < rw; ++w) {
-      const PlaneWord ow = open[base + w];
-      have_k[k * rw + w] = state[w];
-      driven[base + w] = state[w];
-      state[w] |= ow;
-    }
-  }
-  std::size_t k_stop = 0;
-  if (topology == BusTopology::Ring) {
-    for (std::size_t k = 0; k < n; ++k) {
-      PlaneWord alive = 0;
-      const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = 0; w < rw; ++w) {
-        const PlaneWord ow = open[base + w];
-        alive |= state[w];
-        pend_k[k * rw + w] = state[w];
-        driven[base + w] |= state[w];
-        state[w] &= ~ow;
-      }
-      if (alive == 0) break;
-      k_stop = k + 1;
-    }
-  }
-  plan.k_stop = k_stop;
-  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop, state);
-  plan.driven.assign(driven, driven + g.plane_words());
-  plan.max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
-}
-
-/// Executes one column broadcast from a resolved plan: pass 2 only.
-void column_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
-                           Direction dir, const PlaneWord* src, int planes,
-                           PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
-  std::copy(plan.driven.begin(), plan.driven.end(), driven);
-  column_pass2(g, dir, src, planes, plan.open.data(), out, plan.col_have.data(),
-               plan.col_pend.data(), plan.k_stop, grown(s.lane_a, g.row_words));
-}
-
+/// Column broadcast through the plan cache: a hit runs pass 2 from the
+/// cached plan; a miss on a configuration seen before records pass 1
+/// straight into the victim slot (same stores, different destination), so
+/// recording costs what the plain path costs.
 std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                              const PlaneWord* src, int planes, const PlaneWord* open,
-                             PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
+                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
   PPA_ASSERT(planes <= 32, "a register has at most 32 planes");
-  if (exec.scratch != nullptr &&
-      !would_chunk(exec, rw, pw * static_cast<std::size_t>(planes + 1))) {
-    bool hit = false;
-    BroadcastPlan* plan = lookup_broadcast_plan(exec.scratch->broadcast_plans, g,
-                                                topology, dir, open, hit);
-    if (plan != nullptr) {
-      if (hit) {
-        column_broadcast_exec(g, *plan, dir, src, planes, out, driven, *exec.scratch);
-      } else {
-        column_broadcast_record(g, topology, dir, src, planes, open, out, driven,
-                                *exec.scratch, *plan);
-      }
-      return plan->max_segment;
-    }
+  PlaneWord* state = grown(s.lane_a, rw);
+  bool hit = false;
+  BroadcastPlan* plan = lookup_broadcast_plan(s.broadcast_plans, g, topology, dir, open, hit);
+  if (hit) {
+    std::copy(plan->driven.begin(), plan->driven.end(), driven);
+    column_pass2(g, dir, src, planes, plan->open.data(), out, plan->col_have.data(),
+                 plan->col_pend.data(), plan->k_stop, state);
+    return plan->max_segment;
   }
 
-  PlaneBusScratch local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local;
-  // have_k[k*rw + w]: driven mask of row k (flow order) — the lanes that saw
-  // an Open switch strictly upstream. pend_k: the wrap-carry mask per row.
-  PlaneWord* have_k = grown(s.per_k_a, n * rw);
-  PlaneWord* pend_k = grown(s.per_k_b, n * rw);
-  PlaneWord* state = grown(s.lane_a, rw);
-
-  run_chunked(exec, rw, pw * static_cast<std::size_t>(planes + 1),
-              [&](std::size_t w_begin, std::size_t w_end) {
-    // Pass 1 (plane-independent): per-row driven masks, and the wrap
-    // extent. driven[] is exactly "have before this row".
-    PlaneWord* have = state + w_begin;
-    std::fill(have, have + (w_end - w_begin), PlaneWord{0});
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        const PlaneWord ow = open[base + w];
-        have_k[k * rw + w] = state[w];
-        driven[base + w] = state[w];
-        state[w] |= ow;
-      }
-    }
-    std::size_t k_stop = 0;  // rows the wrap reaches in this w slice
-    if (topology == BusTopology::Ring) {
-      // Wrap: every lane's prefix through its FIRST Open row reads the
-      // signal carried around from its LAST Open row.
-      for (std::size_t k = 0; k < n; ++k) {
-        PlaneWord alive = 0;
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord ow = open[base + w];
-          alive |= state[w];
-          pend_k[k * rw + w] = state[w];
-          driven[base + w] |= state[w];
-          state[w] &= ~ow;
-        }
-        if (alive == 0) break;
-        k_stop = k + 1;
-      }
-    }
-    // Pass 2, per plane: carry the latest driver word down the flow. All
-    // accesses at row k are consecutive words, so this vectorizes.
-    for (int j = 0; j < planes; ++j) {
-      const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
-      PlaneWord* op = out + static_cast<std::size_t>(j) * pw;
-      PlaneWord* cur = state;
-      std::fill(cur + w_begin, cur + w_end, PlaneWord{0});
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord ow = open[base + w];
-          op[base + w] = cur[w] & have_k[k * rw + w];
-          cur[w] = (cur[w] & ~ow) | (sp[base + w] & ow);
-        }
-      }
-      for (std::size_t k = 0; k < k_stop; ++k) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          op[base + w] |= cur[w] & pend_k[k * rw + w];
-        }
-      }
-    }
-  });
-  return column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
+  PlaneWord* have_k;
+  PlaneWord* pend_k;
+  if (plan != nullptr) {
+    plan->open.assign(open, open + pw);
+    plan->n = n;
+    plan->topology = static_cast<std::uint8_t>(topology);
+    plan->dir = static_cast<std::uint8_t>(dir);
+    plan->col_have.resize(n * rw);
+    plan->col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
+    have_k = plan->col_have.data();
+    pend_k = plan->col_pend.data();
+  } else {
+    have_k = grown(s.per_k_a, n * rw);
+    pend_k = grown(s.per_k_b, n * rw);
+  }
+  const std::size_t k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k, state);
+  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop, state);
+  const std::size_t max_segment =
+      column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
+  if (plan != nullptr) {
+    plan->k_stop = k_stop;
+    plan->driven.assign(driven, driven + pw);
+    plan->max_segment = max_segment;
+  }
+  return max_segment;
 }
 
 std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                             const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
-                            const PlaneBusExec& exec) {
+                            PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
 
-  PlaneBusScratch local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local;
   PlaneWord* forward = grown(s.per_k_a, n * rw);    // running OR of the segment
   PlaneWord* head_mask = grown(s.per_k_b, n * rw);  // lanes before their first Open
   PlaneWord* acc = grown(s.lane_a, rw);   // then: seg (backward full-segment OR)
   PlaneWord* have = grown(s.lane_b, rw);  // then: tail (no Open strictly downstream)
   PlaneWord* head_acc = grown(s.lane_c, rw);  // then, on a ring: the wrap value
 
-  run_chunked(exec, rw, g.plane_words(), [&](std::size_t w_begin, std::size_t w_end) {
-    std::fill(acc + w_begin, acc + w_end, PlaneWord{0});
-    std::fill(have + w_begin, have + w_end, PlaneWord{0});
-    std::fill(head_acc + w_begin, head_acc + w_end, PlaneWord{0});
-    for (std::size_t k = 0; k < n; ++k) {
+  std::fill(acc, acc + rw, PlaneWord{0});
+  std::fill(have, have + rw, PlaneWord{0});
+  std::fill(head_acc, head_acc + rw, PlaneWord{0});
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t base = flow_row(n, dir, k) * rw;
+    for (std::size_t w = 0; w < rw; ++w) {
+      const PlaneWord ow = open[base + w];
+      const PlaneWord sw = src[base + w];
+      const PlaneWord head = ~(have[w] | ow);
+      head_acc[w] |= sw & head;
+      // An Open row starts a new segment that includes its own src bit.
+      acc[w] = sw | (acc[w] & ~ow);
+      forward[k * rw + w] = acc[w];
+      head_mask[k * rw + w] = head;
+      have[w] |= ow;
+    }
+  }
+  // Backward pass: seg carries each row's full-segment OR; tail marks
+  // lanes with no Open row strictly downstream (the tail segment).
+  PlaneWord* seg = acc;  // seg starts as forward[n-1], which acc now holds
+  PlaneWord* tail = have;
+  PlaneWord* wrap = head_acc;
+  if (topology == BusTopology::Ring) {
+    for (std::size_t w = 0; w < rw; ++w) {
+      wrap[w] = forward[(n - 1) * rw + w] | head_acc[w];
+      tail[w] = ~PlaneWord{0};
+    }
+    for (std::size_t k = n; k-- > 0;) {
       const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        const PlaneWord ow = open[base + w];
-        const PlaneWord sw = src[base + w];
-        const PlaneWord head = ~(have[w] | ow);
-        head_acc[w] |= sw & head;
-        // An Open row starts a new segment that includes its own src bit.
-        acc[w] = sw | (acc[w] & ~ow);
-        forward[k * rw + w] = acc[w];
-        head_mask[k * rw + w] = head;
-        have[w] |= ow;
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord in_wrap = head_mask[k * rw + w] | tail[w];
+        out[base + w] = (wrap[w] & in_wrap) | (seg[w] & ~in_wrap);
       }
-    }
-    // Backward pass: seg carries each row's full-segment OR; tail marks
-    // lanes with no Open row strictly downstream (the tail segment).
-    PlaneWord* seg = acc;   // seg starts as forward[n-1], which acc now holds
-    PlaneWord* tail = have;
-    PlaneWord* wrap = head_acc;
-    if (topology == BusTopology::Ring) {
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        wrap[w] = forward[(n - 1) * rw + w] | head_acc[w];
-        tail[w] = ~PlaneWord{0};
-      }
-      for (std::size_t k = n; k-- > 0;) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord in_wrap = head_mask[k * rw + w] | tail[w];
-          out[base + w] = (wrap[w] & in_wrap) | (seg[w] & ~in_wrap);
-        }
-        if (k > 0) {
-          for (std::size_t w = w_begin; w < w_end; ++w) {
-            const PlaneWord ow = open[base + w];
-            seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
-            tail[w] &= ~ow;
-          }
-        }
-      }
-    } else {
-      for (std::size_t k = n; k-- > 0;) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord hm = head_mask[k * rw + w];
-          out[base + w] = (head_acc[w] & hm) | (seg[w] & ~hm);
-        }
-        if (k > 0) {
-          for (std::size_t w = w_begin; w < w_end; ++w) {
-            const PlaneWord ow = open[base + w];
-            seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
-          }
+      if (k > 0) {
+        for (std::size_t w = 0; w < rw; ++w) {
+          const PlaneWord ow = open[base + w];
+          seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
+          tail[w] &= ~ow;
         }
       }
     }
-  });
+  } else {
+    for (std::size_t k = n; k-- > 0;) {
+      const std::size_t base = flow_row(n, dir, k) * rw;
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord hm = head_mask[k * rw + w];
+        out[base + w] = (head_acc[w] & hm) | (seg[w] & ~hm);
+      }
+      if (k > 0) {
+        for (std::size_t w = 0; w < rw; ++w) {
+          const PlaneWord ow = open[base + w];
+          seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
+        }
+      }
+    }
+  }
   return column_max_segment(g, topology, dir, open, /*wired_or=*/true, s);
 }
 
@@ -780,21 +655,21 @@ std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direct
 std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  Direction dir, const PlaneWord* src, int planes,
                                  const PlaneWord* open, PlaneWord* out,
-                                 PlaneWord* driven, const PlaneBusExec& exec) {
+                                 PlaneWord* driven, PlaneBusScratch& scratch) {
   PPA_REQUIRE(g.n >= 1, "array side must be positive");
   PPA_REQUIRE(planes >= 1, "a bus cycle needs at least one plane");
   return is_row_axis(dir)
-             ? row_broadcast(g, topology, dir, src, planes, open, out, driven, exec)
-             : column_broadcast(g, topology, dir, src, planes, open, out, driven, exec);
+             ? row_broadcast(g, topology, dir, src, planes, open, out, driven)
+             : column_broadcast(g, topology, dir, src, planes, open, out, driven, scratch);
 }
 
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,
                                 Direction dir, const PlaneWord* src,
                                 const PlaneWord* open, PlaneWord* out,
-                                const PlaneBusExec& exec) {
+                                PlaneBusScratch& scratch) {
   PPA_REQUIRE(g.n >= 1, "array side must be positive");
-  return is_row_axis(dir) ? row_wired_or(g, topology, dir, src, open, out, exec)
-                          : column_wired_or(g, topology, dir, src, open, out, exec);
+  return is_row_axis(dir) ? row_wired_or(g, topology, dir, src, open, out, scratch)
+                          : column_wired_or(g, topology, dir, src, open, out, scratch);
 }
 
 void plane_shift(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,

@@ -26,9 +26,6 @@ Machine::Machine(const MachineConfig& config)
     row_index_[pe] = static_cast<Word>(pe / config.n);
     col_index_[pe] = static_cast<Word>(pe % config.n);
   }
-  if (config.host_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config.host_threads);
-  }
 }
 
 void Machine::shift(std::span<const Word> src, Direction dir, Word fill,
@@ -39,28 +36,26 @@ void Machine::shift(std::span<const Word> src, Direction dir, Word fill,
   const std::size_t side = config_.n;
   steps_.charge(StepCategory::Shift);
   if (trace_ != nullptr) trace_->on_event(TraceEvent{StepCategory::Shift, dir, 0, 0});
-  for_each_pe([&](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      const std::size_t r = pe / side;
-      const std::size_t c = pe % side;
-      // Receiving from the upstream neighbour: data moving East arrives
-      // from the West, etc.
-      switch (dir) {
-        case Direction::East:
-          dst[pe] = (c == 0) ? fill : src[pe - 1];
-          break;
-        case Direction::West:
-          dst[pe] = (c + 1 == side) ? fill : src[pe + 1];
-          break;
-        case Direction::South:
-          dst[pe] = (r == 0) ? fill : src[pe - side];
-          break;
-        case Direction::North:
-          dst[pe] = (r + 1 == side) ? fill : src[pe + side];
-          break;
-      }
+  for (std::size_t pe = 0; pe < src.size(); ++pe) {
+    const std::size_t r = pe / side;
+    const std::size_t c = pe % side;
+    // Receiving from the upstream neighbour: data moving East arrives
+    // from the West, etc.
+    switch (dir) {
+      case Direction::East:
+        dst[pe] = (c == 0) ? fill : src[pe - 1];
+        break;
+      case Direction::West:
+        dst[pe] = (c + 1 == side) ? fill : src[pe + 1];
+        break;
+      case Direction::South:
+        dst[pe] = (r == 0) ? fill : src[pe - side];
+        break;
+      case Direction::North:
+        dst[pe] = (r + 1 == side) ? fill : src[pe + side];
+        break;
     }
-  });
+  }
 }
 
 namespace {
@@ -225,7 +220,7 @@ void Machine::clear_dead_driven_plane(Direction dir, const PlaneWord* open_eff,
   scratch_alive_driven_plane_.resize(pw);
   (void)plane_broadcast_into(geometry_, config_.topology, dir, faults_.alive_plane.data(),
                              1, open_eff, scratch_alive_out_.data(),
-                             scratch_alive_driven_plane_.data(), plane_bus_exec());
+                             scratch_alive_driven_plane_.data(), bus_scratch_);
   for (std::size_t i = 0; i < pw; ++i) driven[i] &= scratch_alive_out_[i];
 }
 
@@ -468,7 +463,7 @@ std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
   }
   const std::size_t max_segment =
       plane_broadcast_into(geometry_, config_.topology, dir, src_eff, planes, open_eff,
-                           out, driven, plane_bus_exec());
+                           out, driven, bus_scratch_);
   if (faults_.any) {
     if (category != StepCategory::Masking) check_contention_plane(category, dir, open);
     clear_dead_driven_plane(dir, open_eff, driven);
@@ -562,7 +557,7 @@ std::size_t Machine::shadow_broadcast_planes_into(const PlaneWord* src, Directio
                                                   PlaneWord* driven) {
   if (!faults_.any) {
     return plane_broadcast_into(geometry_, config_.topology, dir, src, 1, open, out, driven,
-                                plane_bus_exec());
+                                bus_scratch_);
   }
   const Axis axis = axis_of(dir);
   const PlaneWord* open_eff = effective_open_plane(axis, open);
@@ -576,7 +571,7 @@ std::size_t Machine::shadow_broadcast_planes_into(const PlaneWord* src, Directio
   }
   const std::size_t max_segment =
       plane_broadcast_into(geometry_, config_.topology, dir, src_eff, 1, open_eff, out,
-                           driven, plane_bus_exec());
+                           driven, bus_scratch_);
   clear_dead_driven_plane(dir, open_eff, driven);
   if (faults_.any_dead) {
     const PlaneWord* alive = faults_.alive_plane.data();
@@ -604,7 +599,7 @@ std::size_t Machine::wired_or_plane_cycle(const PlaneWord* src, Direction dir,
   }
   const std::size_t max_segment =
       plane_wired_or_into(geometry_, config_.topology, dir, src_eff, open_eff, out,
-                          plane_bus_exec());
+                          bus_scratch_);
   if (faults_.any) {
     apply_stuck_bits_planes(axis, out, 1, cycle);
     if (faults_.any_dead) {
@@ -695,13 +690,13 @@ void Machine::ecc_parity_beat(int r, Direction dir, const PlaneWord* program_ope
   if (wired_or) {
     max_segment = plane_wired_or_into(geometry_, config_.topology, dir,
                                       ecc_parity_src_.data(), open_eff,
-                                      ecc_parity_recv_.data(), plane_bus_exec());
+                                      ecc_parity_recv_.data(), bus_scratch_);
   } else {
     ecc_parity_driven_.resize(pw);
     max_segment = plane_broadcast_into(geometry_, config_.topology, dir,
                                        ecc_parity_src_.data(), r, open_eff,
                                        ecc_parity_recv_.data(), ecc_parity_driven_.data(),
-                                       plane_bus_exec());
+                                       bus_scratch_);
   }
   // No apply_stuck_bits_planes: the modeled stuck wires are data wires
   // (bit < h); the parity beat's spare wires are clean. Dead PEs still

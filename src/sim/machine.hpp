@@ -13,12 +13,11 @@
 // the controller issues, and activity masking is a property of the
 // *program*, applied at register write-back.
 //
-// Host execution can be parallelized over a thread pool (config
-// host_threads). Every primitive computes each PE's result independently,
-// so results are identical for any thread count.
+// A Machine executes on the thread that issues its instructions. The one
+// host-parallel level is across independent machines: mcp::all_pairs runs
+// one machine per worker, so results never depend on the worker count.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "sim/step_counter.hpp"
 #include "sim/trace.hpp"
 #include "util/saturating.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 
@@ -79,21 +77,6 @@ struct MachineConfig {
   int bits = 16;            // word width h
   BusTopology topology = BusTopology::Ring;
   UndrivenPolicy undriven = UndrivenPolicy::Error;
-  /// Host worker threads for per-PE sweeps; 0 or 1 = host-sequential.
-  /// Both backends honor it: the Words backend chunks PE ranges, the
-  /// BitPlane backend chunks contiguous plane-word ranges of its ALU
-  /// sweeps (sim/plane_kernels.hpp) once a sweep reaches
-  /// `plane_sweep_min_words` words. Results, driven flags and step counts
-  /// are bit-identical for every value on both backends
-  /// (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
-  std::size_t host_threads = 1;
-  /// Minimum plane-sweep length (in 64-bit plane words, total across the
-  /// h planes of a value) before the BitPlane backend dispatches the
-  /// sweep to the thread pool. Below it, pool hand-off costs more than
-  /// the loop: a full n = 512, h = 16 value is 65536 words (~one L2-ish
-  /// working set), which is roughly where chunking starts to pay. Tests
-  /// set 1 to force chunking on small arrays.
-  std::size_t plane_sweep_min_words = 65536;
   ExecBackend backend = ExecBackend::Words;
   /// Checked execution: bus contention (a program driver whose switch a
   /// fault forced closed) and undriven program reads are recorded as
@@ -274,24 +257,6 @@ class Machine {
   /// Controller response line over a flag plane. Charges one GlobalOr step.
   [[nodiscard]] bool global_or_plane(const PlaneWord* plane);
 
-  /// Splits [0, pe_count) over the host pool; `body(begin, end)` must only
-  /// write indices it owns. Charges nothing (callers charge per SIMD
-  /// instruction, not per sweep). A template so the host-sequential path
-  /// is a direct, inlinable call — no std::function on the hot path.
-  template <typename Body>
-  void for_each_pe(Body&& body) {
-    if (pool_) {
-      pool_->parallel_for(pe_count(), body);
-    } else {
-      body(std::size_t{0}, pe_count());
-    }
-  }
-
-  /// The host worker pool (nullptr when host_threads <= 1). The BitPlane
-  /// backend's ALU (sim/plane_kernels.hpp) and the plane bus engine chunk
-  /// their sweeps over it.
-  [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
-
   /// Cumulative hit/miss counters of this machine's column-broadcast plan
   /// cache (sim::BroadcastPlanCache — bit-plane backend only; row
   /// broadcasts and the word backend never consult it). Solvers report the per-run delta as
@@ -306,9 +271,8 @@ class Machine {
 
   /// Cumulative SIMD kernel-dispatch / plane-word throughput counters for
   /// the ppc-layer plane ALU bound to this machine (ppc::Context wires its
-  /// PlaneAlu here). Billed once per sweep on the controller thread, so
-  /// the totals are pool-size and plane_sweep_min_words independent;
-  /// solvers report the per-run delta as simd.sweep.* counters.
+  /// PlaneAlu here), billed once per sweep; solvers report the per-run
+  /// delta as simd.sweep.* counters.
   [[nodiscard]] const plane_kernels::SweepStats& sweep_stats() const noexcept {
     return sweep_stats_;
   }
@@ -317,12 +281,6 @@ class Machine {
   }
 
  private:
-  /// Execution knobs handed to every plane bus cycle: the host pool (when
-  /// the cycle is large enough to chunk) and the machine-owned scratch.
-  [[nodiscard]] PlaneBusExec plane_bus_exec() noexcept {
-    return PlaneBusExec{pool_.get(), config_.plane_sweep_min_words, &bus_scratch_};
-  }
-
   // Fault transform around a bus cycle (machine.cpp). `effective_open`
   // returns `open` untouched when the axis has no switch faults; the other
   // helpers are no-ops without the corresponding fault class.
@@ -393,8 +351,7 @@ class Machine {
   StepCounter steps_;
   std::vector<Word> row_index_;
   std::vector<Word> col_index_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null when host-sequential
-  TraceSink* trace_ = nullptr;              // not owned
+  TraceSink* trace_ = nullptr;  // not owned
 
   CompiledFaults faults_;
   std::vector<FaultEvent> fault_log_;

@@ -6,8 +6,7 @@
 // table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected
 // once per process from what the build compiled in and what the CPU
-// reports, plus the PlaneAlu wrapper that chunks big sweeps over the
-// machine's host thread pool.
+// reports, plus the PlaneAlu wrapper that bills each sweep.
 //
 // Dispatch order:
 //   1. A PPA_FORCE_SIMD=<arm> build (CMake option) pins the arm at
@@ -19,16 +18,14 @@
 //   3. Otherwise the widest compiled-in variant the CPU supports wins.
 //
 // The multi-plane kernels (add_sat / compare_*) take a [begin, end) word
-// sub-range of every plane so the thread pool can split one logical SIMD
-// instruction into contiguous plane-word chunks: the ripple-carry and
-// MSB-first scans carry state across PLANES (j), never across word index
-// (i), so range splitting is exact, not approximate.
+// sub-range of every plane: the ripple-carry and MSB-first scans carry
+// state across PLANES (j), never across word index (i), so any split of
+// the range gives the same words (the layer probes time them on slices).
 #pragma once
 
 #include <cstddef>
 
 #include "sim/bit_planes.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim::plane_kernels {
 
@@ -43,7 +40,7 @@ struct PlaneKernels {
   SimdVariant variant = SimdVariant::Scalar;
 
   // Elementwise bitwise sweeps over raw word ranges (callers pass pw or
-  // h * pw; chunking slices the pointers).
+  // h * pw).
   void (*op_and)(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
                  std::size_t words) noexcept = nullptr;
   void (*op_or)(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
@@ -78,7 +75,7 @@ struct PlaneKernels {
   /// Packs rows [row_begin, row_end) of per-PE words into `planes` bit
   /// planes (plane j at offset j * plane_words). Fully overwrites the
   /// covered words, pads read 0 — no pre-zeroing needed, and row ranges
-  /// write disjoint words, so the pool can split on rows.
+  /// write disjoint words.
   void (*pack_words)(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
                      PlaneWord* out, std::size_t row_begin, std::size_t row_end) = nullptr;
 };
@@ -96,10 +93,9 @@ struct PlaneKernels {
 [[nodiscard]] const PlaneKernels& active() noexcept;
 [[nodiscard]] SimdVariant active_variant() noexcept;
 
-/// SIMD kernel-throughput counters, billed on the controller thread once
-/// per dispatched sweep (BEFORE any pool chunking), so the totals are
-/// independent of the pool size and of `plane_sweep_min_words` — the
-/// profiler's determinism contract (docs/observability.md). Plain host
+/// SIMD kernel-throughput counters, billed once per dispatched sweep with
+/// the sweep's whole word footprint, so the totals are a deterministic
+/// function of the program (docs/observability.md). Plain host
 /// bookkeeping: never charged as SIMD steps.
 struct SweepStats {
   std::uint64_t dispatches = 0;  // kernel sweeps issued
@@ -110,67 +106,56 @@ struct SweepStats {
   }
 };
 
-/// The ppc layer's view of one plane sweep: the dispatched kernels plus
-/// the machine's thread pool. Sweeps at least `min_words` words long are
-/// chunked into contiguous plane-word ranges over the pool (one chunk per
-/// pool lane, deterministic boundaries); smaller sweeps run inline.
-/// Results are bit-identical for every pool size because no kernel
-/// carries state across the word index.
+/// The ppc layer's view of one plane sweep: the dispatched kernels over
+/// the whole word range, each sweep billed once to `stats`.
 class PlaneAlu {
  public:
   PlaneAlu() = default;
-  PlaneAlu(const PlaneKernels& kernels, util::ThreadPool* pool,
-           std::size_t min_words, SweepStats* stats = nullptr) noexcept
-      : k_(&kernels), pool_(pool), min_words_(min_words), stats_(stats) {}
+  explicit PlaneAlu(const PlaneKernels& kernels, SweepStats* stats = nullptr) noexcept
+      : k_(&kernels), stats_(stats) {}
 
   [[nodiscard]] const PlaneKernels& kernels() const noexcept { return *k_; }
 
   void op_and(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
               std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_and(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_and(a, b, out, words);
   }
   void op_or(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
              std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_or(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_or(a, b, out, words);
   }
   void op_xor(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
               std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_xor(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_xor(a, b, out, words);
   }
   void op_andnot(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
                  std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_andnot(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_andnot(a, b, out, words);
   }
   void op_copy(const PlaneWord* a, PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_copy(a + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_copy(a, out, words);
   }
   void op_zero(PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) { k_->op_zero(out + lo, hi - lo); });
+    bill(words);
+    k_->op_zero(out, words);
   }
   void masked_assign(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
                      std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->masked_assign(mask + lo, src + lo, dst + lo, hi - lo);
-    });
+    bill(words);
+    k_->masked_assign(mask, src, dst, words);
   }
   void blend(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b,
              PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->blend(cond + lo, a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->blend(cond, a, b, out, words);
   }
 
-  // Early-exit scans stay inline: splitting them buys nothing.
+  // Early-exit scans are not billed.
   [[nodiscard]] bool all_zero(const PlaneWord* a, std::size_t words) const {
     return k_->all_zero(a, words);
   }
@@ -193,68 +178,36 @@ class PlaneAlu {
 
   void add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                const PlaneWord* full, PlaneWord* out) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->add_sat(a, b, h, pw, full, out, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->add_sat(a, b, h, pw, full, out, 0, pw);
   }
   void compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->compare_lt(a, b, h, pw, full, lt, eq, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->compare_lt(a, b, h, pw, full, lt, eq, 0, pw);
   }
   void compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* eq) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->compare_eq(a, b, h, pw, full, eq, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->compare_eq(a, b, h, pw, full, eq, 0, pw);
   }
 
   void pack_words(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
                   PlaneWord* out) const {
     bill(g.plane_words() * static_cast<std::size_t>(planes));
-    if (pool_ == nullptr || g.plane_words() * static_cast<std::size_t>(planes) < min_words_) {
-      k_->pack_words(g, src, planes, out, 0, g.n);
-      return;
-    }
-    pool_->parallel_for(g.n, [&](std::size_t lo, std::size_t hi) {
-      k_->pack_words(g, src, planes, out, lo, hi);
-    });
+    k_->pack_words(g, src, planes, out, 0, g.n);
   }
 
  private:
-  /// Controller-thread throughput billing; deterministic by construction
-  /// (counts the whole sweep, not its chunks).
+  /// Throughput billing: one dispatch and the sweep's whole word count.
   void bill(std::size_t words) const noexcept {
     if (stats_ != nullptr) {
       ++stats_->dispatches;
       stats_->words += words;
     }
   }
-  template <typename Body>
-  void sweep(std::size_t words, Body&& body) const {
-    bill(words);
-    if (pool_ == nullptr || words < min_words_) {
-      body(std::size_t{0}, words);
-      return;
-    }
-    pool_->parallel_for(words, body);
-  }
-  /// Chunks the word domain [0, pw) when the TOTAL work (h planes) is big
-  /// enough; every chunk runs all h planes of its word range.
-  template <typename Body>
-  void planes_sweep(int h, std::size_t pw, Body&& body) const {
-    bill(static_cast<std::size_t>(h) * pw);
-    if (pool_ == nullptr || static_cast<std::size_t>(h) * pw < min_words_) {
-      body(std::size_t{0}, pw);
-      return;
-    }
-    pool_->parallel_for(pw, body);
-  }
 
   const PlaneKernels* k_ = &scalar_kernels();
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t min_words_ = static_cast<std::size_t>(-1);
   SweepStats* stats_ = nullptr;
 };
 

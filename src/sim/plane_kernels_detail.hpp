@@ -10,8 +10,8 @@
 // MSB-first lt/eq pair, the saturation mask) in registers; the only
 // memory traffic is the operand planes themselves. Every multi-plane
 // kernel iterates the WORD index outermost and the plane index inside,
-// so a [begin, end) word sub-range is exact — that is what makes the
-// thread-pool chunking in PlaneAlu bit-identical to a sequential sweep.
+// so a [begin, end) word sub-range is exact: any split of the range
+// writes the same words as one whole sweep.
 //
 // VecScalar (W = 1) instantiates the same bodies for the scalar table
 // and serves as every wider arm's tail loop.

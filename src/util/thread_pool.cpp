@@ -1,23 +1,12 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/check.hpp"
 
 namespace ppa::util {
 
-namespace {
-
-double seconds_between(std::chrono::steady_clock::time_point begin,
-                       std::chrono::steady_clock::time_point end) noexcept {
-  return std::chrono::duration<double>(end - begin).count();
-}
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t worker_count) {
-  busy_.assign(worker_count <= 1 ? 1 : worker_count + 1, 0.0);
   if (worker_count <= 1) return;  // inline mode
   jobs_.resize(worker_count);
   job_ready_.assign(worker_count, false);
@@ -46,18 +35,14 @@ void ThreadPool::worker_main(std::size_t worker_index) {
       job = jobs_[worker_index];
       job_ready_[worker_index] = false;
     }
-    const auto chunk_begin = std::chrono::steady_clock::now();
     try {
       if (job.begin < job.end) (*job.body)(job.begin, job.end);
     } catch (...) {
       const std::lock_guard lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    const double chunk_seconds =
-        seconds_between(chunk_begin, std::chrono::steady_clock::now());
     {
       const std::lock_guard lock(mutex_);
-      busy_[worker_index + 1] += chunk_seconds;  // lane 0 is the caller
       PPA_ASSERT(pending_ > 0, "pool bookkeeping underflow");
       --pending_;
       if (pending_ == 0) done_.notify_all();
@@ -69,9 +54,7 @@ void ThreadPool::parallel_for(
     std::size_t total, const std::function<void(std::size_t, std::size_t)>& body) {
   if (total == 0) return;
   if (workers_.empty()) {
-    const auto inline_begin = std::chrono::steady_clock::now();
     body(0, total);
-    busy_[0] += seconds_between(inline_begin, std::chrono::steady_clock::now());
     return;
   }
 
@@ -98,32 +81,17 @@ void ThreadPool::parallel_for(
   wake_.notify_all();
 
   std::exception_ptr caller_error;
-  const auto caller_chunk_begin = std::chrono::steady_clock::now();
   try {
     if (caller_begin < caller_end) body(caller_begin, caller_end);
   } catch (...) {
     caller_error = std::current_exception();
   }
-  const double caller_seconds =
-      seconds_between(caller_chunk_begin, std::chrono::steady_clock::now());
-
   {
     std::unique_lock lock(mutex_);
-    busy_[0] += caller_seconds;
     done_.wait(lock, [&] { return pending_ == 0; });
     if (!caller_error) caller_error = first_error_;
   }
   if (caller_error) std::rethrow_exception(caller_error);
-}
-
-std::vector<double> ThreadPool::busy_seconds() {
-  const std::lock_guard lock(mutex_);
-  return busy_;
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
 }
 
 }  // namespace ppa::util

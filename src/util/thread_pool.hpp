@@ -1,12 +1,10 @@
 // Fixed-size thread pool with a blocking parallel_for.
 //
-// The SIMD simulators apply the same operation to every PE; on the host we
-// split the PE index range into contiguous chunks so results are
-// deterministic regardless of thread count (each index writes only its own
-// slot). A pool size of 0 or 1 degrades to a plain sequential loop with no
-// thread machinery at all, which keeps the small-array experiments honest
-// (no pool overhead pollutes the E4/E5 step measurements — those count SIMD
-// steps, not wall time — and keeps E6's 1-thread baseline clean).
+// The simulator's one host-parallel level: mcp::all_pairs splits its
+// destination groups into contiguous chunks, one machine per chunk, so
+// results are deterministic regardless of thread count (each index writes
+// only its own slot). A pool size of 0 or 1 degrades to a plain sequential
+// loop with no thread machinery at all.
 #pragma once
 
 #include <condition_variable>
@@ -38,20 +36,6 @@ class ThreadPool {
   void parallel_for(std::size_t total,
                     const std::function<void(std::size_t begin, std::size_t end)>& body);
 
-  /// The machine-wide default pool (hardware_concurrency workers). Lazily
-  /// constructed, never destroyed before exit.
-  static ThreadPool& shared();
-
-  /// Cumulative wall time each lane spent inside parallel_for bodies since
-  /// construction (docs/observability.md). Lane 0 is the caller's share,
-  /// lanes 1..worker_count the workers — the spread across lanes is the
-  /// chunk-imbalance signal the utilization profiler reports. Inline mode
-  /// (<= 1 worker) keeps a single lane-0 slot. Snapshot/delta only between
-  /// parallel_for calls: every slot is written either by the caller or
-  /// under mutex_ before the final pending_ handoff, so a post-join read
-  /// is race-free.
-  [[nodiscard]] std::vector<double> busy_seconds();
-
  private:
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
@@ -67,7 +51,6 @@ class ThreadPool {
   std::condition_variable done_;
   std::vector<Job> jobs_;         // one slot per worker
   std::vector<bool> job_ready_;   // guarded by mutex_
-  std::vector<double> busy_;      // per-lane busy seconds; lane 0 = caller
   std::size_t pending_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;

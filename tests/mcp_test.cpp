@@ -186,24 +186,6 @@ TEST(Mcp, OrProbeVariantSameCostsFewerBroadcasts) {
             orprobe.total_steps.count(sim::StepCategory::BusBroadcast));
 }
 
-TEST(Mcp, DeterministicAcrossHostThreadCounts) {
-  util::Rng rng(21);
-  const auto g = graph::random_digraph(10, 16, 0.3, {1, 20}, rng);
-  const auto run = [&](std::size_t threads) {
-    sim::MachineConfig cfg;
-    cfg.n = g.size();
-    cfg.bits = g.field().bits();
-    cfg.host_threads = threads;
-    sim::Machine machine(cfg);
-    return minimum_cost_path(machine, g, 5);
-  };
-  const Result a = run(1);
-  const Result b = run(3);
-  EXPECT_EQ(a.solution.cost, b.solution.cost);
-  EXPECT_EQ(a.solution.next, b.solution.next);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-}
-
 TEST(Mcp, MachineReuseAccumulatesButReportsPerCall) {
   const auto g = test::tiny_graph(16);
   sim::MachineConfig cfg;

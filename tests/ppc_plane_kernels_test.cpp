@@ -1,7 +1,7 @@
 // Differential fuzz of every compiled SIMD kernel arm against the
 // portable scalar reference in tests/plane_ops.hpp (and sim::pack_words for
-// the pack kernel), plus determinism pins for the PlaneAlu thread-pool
-// chunking. Geometries deliberately include ragged tails (n not a
+// the pack kernel), including split word ranges of the multi-plane
+// kernels. Geometries deliberately include ragged tails (n not a
 // multiple of 64, plane_words not a multiple of the vector width).
 #include <gtest/gtest.h>
 
@@ -13,12 +13,10 @@
 #include "sim/bit_planes.hpp"
 #include "sim/plane_kernels.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa {
 namespace {
 
-using sim::plane_kernels::PlaneAlu;
 using sim::plane_kernels::PlaneKernels;
 using sim::plane_kernels::SimdVariant;
 using sim::PlaneGeometry;
@@ -161,7 +159,7 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
                                    << " compare_eq n=" << n << " h=" << h;
 
         // Split the word range at every boundary in a coarse grid and check
-        // the chunked result is identical — the thread-pool contract.
+        // the two halves write exactly the whole sweep's words.
         for (const std::size_t cut : {std::size_t{0}, pw / 3, pw / 2, pw}) {
           std::vector<PlaneWord> chunked(total, 0xDEADBEEFu);
           arm->add_sat(a.data(), b.data(), h, pw, full.data(), chunked.data(), 0, cut);
@@ -269,40 +267,6 @@ TEST(PlaneKernels, PackFlagsMatchesPerPeFormula) {
       ASSERT_EQ(partial[i], i < rows * g.row_words ? want[i] : PlaneWord{0x5555u})
           << "pack_flag_rows n=" << n << " word=" << i;
     }
-  }
-}
-
-TEST(PlaneKernelsAlu, PooledSweepsAreBitIdenticalAcrossThreadCounts) {
-  util::Rng rng(0xE7'0004);
-  const PlaneGeometry g{130};
-  const std::size_t pw = g.plane_words();
-  const int h = 16;
-  const auto full = full_plane(g);
-  const auto a = random_planes(rng, g, h);
-  const auto b = random_planes(rng, g, h);
-  std::vector<sim::Word> src(g.n * g.n);
-  for (auto& v : src) v = static_cast<sim::Word>(rng.next() & 0xFFFFu);
-
-  const PlaneKernels& k = sim::plane_kernels::active();
-  PlaneAlu inline_alu(k, nullptr, static_cast<std::size_t>(-1));
-  std::vector<PlaneWord> ref_add(pw * h), ref_lt(pw), ref_eq(pw),
-      ref_pack(pw * h);
-  inline_alu.add_sat(a.data(), b.data(), h, pw, full.data(), ref_add.data());
-  inline_alu.compare_lt(a.data(), b.data(), h, pw, full.data(), ref_lt.data(),
-                        ref_eq.data());
-  inline_alu.pack_words(g, src.data(), h, ref_pack.data());
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    util::ThreadPool pool(workers);
-    PlaneAlu alu(k, &pool, 1);  // min_words=1: always chunk
-    std::vector<PlaneWord> add(pw * h, 1), lt(pw, 1), eq(pw, 1), pack(pw * h, 1);
-    alu.add_sat(a.data(), b.data(), h, pw, full.data(), add.data());
-    alu.compare_lt(a.data(), b.data(), h, pw, full.data(), lt.data(), eq.data());
-    alu.pack_words(g, src.data(), h, pack.data());
-    EXPECT_EQ(ref_add, add) << "workers=" << workers;
-    EXPECT_EQ(ref_lt, lt) << "workers=" << workers;
-    EXPECT_EQ(ref_eq, eq) << "workers=" << workers;
-    EXPECT_EQ(ref_pack, pack) << "workers=" << workers;
   }
 }
 

@@ -12,7 +12,6 @@
 #include "sim/bus.hpp"
 #include "sim/bus_planes.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 namespace {
@@ -45,11 +44,12 @@ std::vector<Word> random_words(util::Rng& rng, std::size_t count, int planes) {
   return src;
 }
 
-/// One broadcast through the word oracle and the plane kernel under `exec`:
-/// values, driven flags, max_segment and pad bits must all agree.
+/// One broadcast through the word oracle and the plane kernel (on a fresh
+/// scratch block unless one is given): values, driven flags, max_segment
+/// and pad bits must all agree.
 void expect_broadcast_matches(std::size_t n, BusTopology topology, Direction dir, int planes,
                               const std::vector<Word>& src, const std::vector<Flag>& open,
-                              const PlaneBusExec& exec = {}) {
+                              PlaneBusScratch* scratch = nullptr) {
   SCOPED_TRACE(::testing::Message() << "n=" << n << " dir=" << name_of(dir) << " topology="
                                     << (topology == BusTopology::Ring ? "ring" : "linear")
                                     << " planes=" << planes);
@@ -67,9 +67,11 @@ void expect_broadcast_matches(std::size_t n, BusTopology topology, Direction dir
   std::vector<PlaneWord> driven_plane(pw, ~PlaneWord{0});
   pack_words(g, src, planes, src_planes.data());
   pack_flags(g, open, open_plane.data());
+  PlaneBusScratch fresh;
   const std::size_t got_segment =
       plane_broadcast_into(g, topology, dir, src_planes.data(), planes, open_plane.data(),
-                           out_planes.data(), driven_plane.data(), exec);
+                           out_planes.data(), driven_plane.data(),
+                           scratch != nullptr ? *scratch : fresh);
 
   ASSERT_EQ(got_segment, want_segment);
   std::vector<Word> got_values(n * n);
@@ -95,11 +97,12 @@ std::vector<Flag> random_open(util::Rng& rng, std::size_t n, int round, double d
   return open;
 }
 
-/// One wired-OR cycle through the word oracle and the plane kernel under
-/// `exec`: values, max_segment and pad bits must agree.
+/// One wired-OR cycle through the word oracle and the plane kernel (on a
+/// fresh scratch block unless one is given): values, max_segment and pad
+/// bits must agree.
 void expect_wired_or_matches(std::size_t n, BusTopology topology, Direction dir,
                              const std::vector<Flag>& src, const std::vector<Flag>& open,
-                             const PlaneBusExec& exec = {}) {
+                             PlaneBusScratch* scratch = nullptr) {
   SCOPED_TRACE(::testing::Message() << "wired-or n=" << n << " dir=" << name_of(dir));
   const PlaneGeometry g(n);
   const std::size_t pw = g.plane_words();
@@ -111,8 +114,10 @@ void expect_wired_or_matches(std::size_t n, BusTopology topology, Direction dir,
   std::vector<PlaneWord> out_plane(pw, ~PlaneWord{0});
   pack_flags(g, src, src_plane.data());
   pack_flags(g, open, open_plane.data());
-  const std::size_t got_segment = plane_wired_or_into(g, topology, dir, src_plane.data(),
-                                                      open_plane.data(), out_plane.data(), exec);
+  PlaneBusScratch fresh;
+  const std::size_t got_segment =
+      plane_wired_or_into(g, topology, dir, src_plane.data(), open_plane.data(), out_plane.data(),
+                          scratch != nullptr ? *scratch : fresh);
 
   ASSERT_EQ(got_segment, want_segment);
   std::vector<Flag> got_values(n * n);
@@ -197,38 +202,10 @@ TEST_P(BusPlaneFuzz, BroadcastSolverRowShapesMatchWordEngine) {
   }
 }
 
-// Every bus cycle chunked over a pool (min_words = 1 forces the fan-out on
-// any side): rows for East/West, word-columns for South/North. Chunks
-// write disjoint slices and merge max_segment with max, so the oracle's
-// answer must come out for any pool size.
-TEST_P(BusPlaneFuzz, PooledBusMatchesWordEngine) {
-  const auto [n, seed, density] = GetParam();
-  util::ThreadPool pool(3);
-  PlaneBusScratch scratch;
-  const PlaneBusExec exec{&pool, 1, &scratch};
-  util::Rng rng(seed ^ 0x9001);
-  for (int round = 0; round < 4; ++round) {
-    SCOPED_TRACE(::testing::Message() << "round=" << round);
-    const int planes = round % 2 == 0 ? 16 : 5;
-    const std::vector<Word> src = random_words(rng, n * n, planes);
-    const std::vector<Flag> open = random_open(rng, n, round, density);
-    std::vector<Flag> src_flags(n * n);
-    for (auto& f : src_flags) f = rng.chance(0.3) ? Flag{1} : Flag{0};
-    for (BusTopology topology : {BusTopology::Ring, BusTopology::Linear}) {
-      for (int d = 0; d < 4; ++d) {
-        const auto dir = static_cast<Direction>(d);
-        expect_broadcast_matches(n, topology, dir, planes, src, open, exec);
-        if (HasFatalFailure()) return;
-        expect_wired_or_matches(n, topology, dir, src_flags, open, exec);
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
 TEST_P(BusPlaneFuzz, WiredOrMatchesWordEngine) {
   const auto [n, seed, density] = GetParam();
   util::Rng rng(seed ^ 0xF00D);
+  PlaneBusScratch scratch;  // persists across rounds, like a machine's
 
   for (int round = 0; round < 12; ++round) {
     SCOPED_TRACE(::testing::Message() << "round=" << round);
@@ -244,6 +221,8 @@ TEST_P(BusPlaneFuzz, WiredOrMatchesWordEngine) {
     const auto topology = rng.chance(0.5) ? BusTopology::Ring : BusTopology::Linear;
     const auto dir = static_cast<Direction>(rng.below(4));
     expect_wired_or_matches(n, topology, dir, src, open);
+    if (HasFatalFailure()) return;
+    expect_wired_or_matches(n, topology, dir, src, open, &scratch);
     if (HasFatalFailure()) return;
   }
 }
@@ -299,8 +278,8 @@ TEST_P(BusPlaneFuzz, ShiftMatchesBruteForce) {
 // than once: replaying each random configuration several times with fresh
 // data walks one South call through the plain, recording and cached paths
 // in turn (East, which has one path, must ignore the scratch) — every
-// replay must match the cold (scratch-free) resolver in values, driven
-// flags and max_segment.
+// replay must match the cold resolver (a fresh scratch, so always the
+// plain path) in values, driven flags and max_segment.
 TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
   const auto [n, seed, density] = GetParam();
   const PlaneGeometry g(n);
@@ -308,7 +287,6 @@ TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
   const int planes = 7;
   util::Rng rng(seed ^ 0xBEEF);
   PlaneBusScratch scratch;  // persists across all configurations below
-  const PlaneBusExec exec{nullptr, static_cast<std::size_t>(-1), &scratch};
 
   for (int config = 0; config < 6; ++config) {
     std::vector<Flag> open(n * n);
@@ -325,15 +303,16 @@ TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
 
         std::vector<PlaneWord> want_out(pw * planes);
         std::vector<PlaneWord> want_driven(pw);
+        PlaneBusScratch cold;
         const std::size_t want_segment =
             plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
-                                 open_plane.data(), want_out.data(), want_driven.data());
+                                 open_plane.data(), want_out.data(), want_driven.data(), cold);
 
         std::vector<PlaneWord> out(pw * planes, ~PlaneWord{0});
         std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
         const std::size_t got_segment =
             plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
-                                 open_plane.data(), out.data(), driven.data(), exec);
+                                 open_plane.data(), out.data(), driven.data(), scratch);
 
         ASSERT_EQ(got_segment, want_segment)
             << "n=" << n << " dir=" << name_of(dir) << " config=" << config
@@ -361,10 +340,9 @@ TEST(BroadcastPlanCache, CountsHitsAfterSecondSight) {
   for (std::size_t i = 0; i < src.size(); ++i) src[i] = i * 0x9E3779B97F4A7C15ull;
   for (std::size_t w = 0; w < g.row_words; ++w) open[5 * g.row_words + w] = g.word_mask(w);
   PlaneBusScratch scratch;
-  const PlaneBusExec exec{nullptr, static_cast<std::size_t>(-1), &scratch};
   for (int call = 0; call < 5; ++call) {
     plane_broadcast_into(g, BusTopology::Ring, Direction::South, src.data(), planes,
-                         open.data(), out.data(), driven.data(), exec);
+                         open.data(), out.data(), driven.data(), scratch);
   }
   EXPECT_EQ(scratch.broadcast_plans.hits, 3u);
   EXPECT_EQ(scratch.broadcast_plans.misses, 2u);

@@ -107,24 +107,6 @@ TEST(Machine, GlobalOrSemantics) {
   EXPECT_THROW((void)m.global_or(std::vector<Flag>(3, 0)), util::ContractError);
 }
 
-TEST(Machine, HostThreadsProduceIdenticalResults) {
-  const auto run = [](std::size_t threads) {
-    auto cfg = config_of(8);
-    cfg.host_threads = threads;
-    Machine m(cfg);
-    std::vector<Word> src(64);
-    for (std::size_t pe = 0; pe < 64; ++pe) src[pe] = static_cast<Word>(pe * 3 % 17);
-    std::vector<Flag> open(64, 0);
-    for (std::size_t r = 0; r < 8; ++r) open[r * 8 + (r * 5) % 8] = 1;
-    auto b = m.broadcast(src, Direction::East, open);
-    std::vector<Word> shifted(64);
-    m.shift(src, Direction::South, 42, shifted);
-    return std::pair{b.values, shifted};
-  };
-  EXPECT_EQ(run(1), run(2));
-  EXPECT_EQ(run(1), run(4));
-}
-
 TEST(Machine, RingVersusLinearTopologyConfig) {
   auto cfg = config_of(4);
   cfg.topology = BusTopology::Linear;

@@ -47,7 +47,9 @@ TEST_P(CeilLog2Sweep, InverseOfPow2) {
     EXPECT_EQ(ceil_log2(pow + 1), k + 1);
   }
   EXPECT_EQ(next_pow2(pow), pow);
-  if (k > 1) EXPECT_EQ(next_pow2(pow - 1), pow);
+  if (k > 1) {
+    EXPECT_EQ(next_pow2(pow - 1), pow);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, CeilLog2Sweep,
