@@ -1,11 +1,10 @@
 // Shared workload builders and run helpers for the experiment benches.
 //
-// Every bench binary follows the same shape:
-//   1. print the experiment table(s) that reproduce the paper's claim
-//      (deterministic, seeded workloads; SIMD step counts from the
-//      simulator), then
-//   2. hand over to google-benchmark for wall-clock measurements of the
-//      same code paths.
+// Every bench binary prints the experiment table(s) that reproduce one
+// paper claim: deterministic, seeded workloads, SIMD step counts from the
+// simulator. The wall-ms columns some tables print are single-run
+// illustrations; the repository's wall-clock measurement is perfbench/
+// (docs/performance.md).
 #pragma once
 
 #include <cstdio>
@@ -18,57 +17,10 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "mcp/mcp.hpp"
-#include "obs/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace ppa::bench {
-
-/// One measured configuration in a perf trajectory file (BENCH_e6.json).
-/// The fields are the obs::field constants — the exact names the metrics
-/// dump's "run" object uses — so tools/perf_gate.py reads bench baselines
-/// and `ppa_mcp --metrics-out` dumps with the same matching logic.
-struct PerfRecord {
-  std::string workload;  // "mcp" | "all_pairs"
-  std::string backend;   // "word" | "bitplane"
-  std::size_t n = 0;
-  std::size_t host_threads = 1;
-  std::size_t batch_width = 1;  // destinations per machine pass (docs/batching.md)
-  std::size_t active_panels = 1;  // 0 = dense every-panel sweep (docs/tiling.md)
-  std::uint64_t simd_steps = 0;
-  double wall_seconds = 0;
-  double pe_ops_per_sec = 0;
-  std::string simd = "none";  // dispatched kernel variant (bitplane runs)
-};
-
-/// Writes the perf records as a JSON array through the observability
-/// layer's writer (same escaping and number formatting everywhere).
-inline void write_perf_records(const std::vector<PerfRecord>& records, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path);
-    return;
-  }
-  obs::JsonWriter w(out);
-  w.begin_array();
-  for (const PerfRecord& r : records) {
-    w.begin_object();
-    w.kv(obs::field::kWorkload, r.workload);
-    w.kv(obs::field::kBackend, r.backend);
-    w.kv(obs::field::kN, r.n);
-    w.kv(obs::field::kHostThreads, r.host_threads);
-    w.kv(obs::field::kBatchWidth, r.batch_width);
-    w.kv(obs::field::kActivePanels, r.active_panels);
-    w.kv(obs::field::kSimdSteps, r.simd_steps);
-    w.kv(obs::field::kWallSeconds, r.wall_seconds);
-    w.kv(obs::field::kPeOpsPerSec, r.pe_ops_per_sec);
-    w.kv(obs::field::kSimd, r.simd);
-    w.end_object();
-  }
-  w.end_array();
-  out << "\n";
-  std::printf("wrote %zu records to %s\n\n", records.size(), path);
-}
 
 /// The E2 workload: n vertices, destination 0; vertices 1..p form a chain
 /// 1 -> 0, 2 -> 1, ... (unit weights), and every vertex above p has a

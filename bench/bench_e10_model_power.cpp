@@ -13,8 +13,6 @@
 //     public ppc API).
 // The flip side — what the restriction buys — is the rest of this repo:
 // the PPA remains sufficient for the O(p·h) MCP while being buildable.
-#include <benchmark/benchmark.h>
-
 #include "baseline/parbs.hpp"
 #include "bench_common.hpp"
 #include "ppc/primitives.hpp"
@@ -103,35 +101,9 @@ void print_tables() {
       "sufficient'.\n\n");
 }
 
-void BM_ParbsCount(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(7);
-  std::vector<bool> bits(n);
-  for (std::size_t i = 0; i < n; ++i) bits[i] = rng.chance(0.5);
-  for (auto _ : state) {
-    const auto r = baseline::parbs::count_ones(bits);
-    benchmark::DoNotOptimize(r.count);
-  }
-}
-BENCHMARK(BM_ParbsCount)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_PpaParity(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(7);
-  std::vector<bool> bits(n);
-  for (std::size_t i = 0; i < n; ++i) bits[i] = rng.chance(0.5);
-  for (auto _ : state) {
-    const auto r = ppa_parity(bits);
-    benchmark::DoNotOptimize(r.parity);
-  }
-}
-BENCHMARK(BM_PpaParity)->Arg(16)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

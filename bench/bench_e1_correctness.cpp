@@ -5,8 +5,6 @@
 // verify the full solution (costs AND traced paths) against Dijkstra.
 // The paper reports no numbers for this; the reproduced artifact is the
 // zero-mismatch table plus the observed iteration/step statistics.
-#include <benchmark/benchmark.h>
-
 #include "baseline/sequential.hpp"
 #include "bench_common.hpp"
 #include "graph/path.hpp"
@@ -80,38 +78,9 @@ void print_tables() {
   std::printf("Measured: every cell must show 0 mismatches.\n\n");
 }
 
-void BM_PpaSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(42);
-  const auto g =
-      graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    const auto result = mcp::solve(g, 0);
-    steps = result.total_steps.total();
-    benchmark::DoNotOptimize(result.solution.cost.data());
-  }
-  state.counters["simd_steps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_PpaSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_DijkstraReference(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(42);
-  const auto g =
-      graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
-  for (auto _ : state) {
-    const auto s = baseline::dijkstra_to(g, 0);
-    benchmark::DoNotOptimize(s.cost.data());
-  }
-}
-BENCHMARK(BM_DijkstraReference)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

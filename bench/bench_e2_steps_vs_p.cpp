@@ -5,8 +5,6 @@
 // Reproduction: fix n = 32 and h = 16, sweep p with the chain_with_direct
 // workload (p is exact by construction), and show that total SIMD steps
 // are affine in p with an essentially perfect linear fit.
-#include <benchmark/benchmark.h>
-
 #include "analysis/fit.hpp"
 #include "bench_common.hpp"
 
@@ -44,22 +42,9 @@ void print_tables() {
   std::printf("Slope / h = %.2f SIMD steps per (p, bit) unit.\n\n", fit.slope / kBits);
 }
 
-void BM_McpByP(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto g = bench::chain_with_direct(kN, p, kBits);
-  for (auto _ : state) {
-    const auto r = mcp::solve(g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-  state.counters["p"] = static_cast<double>(p);
-}
-BENCHMARK(BM_McpByP)->Arg(2)->Arg(8)->Arg(16)->Arg(28);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 // counts against both h and log2(h), and compare the fits. The linear-in-h
 // law wins by a wide margin, confirming the Section-3 derivation and the
 // typo reading of "log h".
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "analysis/fit.hpp"
@@ -54,22 +52,9 @@ void print_tables() {
               linear.r_squared >= logfit.r_squared ? "the LINEAR-in-h" : "the LOG-in-h");
 }
 
-void BM_McpByH(benchmark::State& state) {
-  const auto h = static_cast<int>(state.range(0));
-  const auto g = bench::chain_with_direct(kN, kP, h);
-  for (auto _ : state) {
-    const auto r = mcp::solve(g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-  state.counters["h"] = h;
-}
-BENCHMARK(BM_McpByH)->Arg(8)->Arg(16)->Arg(32);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 // Reproduction: sweep n at fixed h and fixed p, measure per-iteration
 // steps for PPA and mesh, fit the mesh against n (linear) and check the
 // PPA series is flat.
-#include <benchmark/benchmark.h>
-
 #include "analysis/fit.hpp"
 #include "baseline/mesh_mcp.hpp"
 #include "bench_common.hpp"
@@ -51,31 +49,9 @@ void print_tables() {
               mesh_fit.intercept, mesh_fit.slope, mesh_fit.r_squared);
 }
 
-void BM_PpaByN(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto g = bench::chain_with_direct(n, kP, kBits);
-  for (auto _ : state) {
-    const auto r = mcp::solve(g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-BENCHMARK(BM_PpaByN)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_MeshByN(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto g = bench::chain_with_direct(n, kP, kBits);
-  for (auto _ : state) {
-    const auto r = baseline::mesh_solve(g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-BENCHMARK(BM_MeshByN)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

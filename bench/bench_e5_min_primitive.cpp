@@ -7,8 +7,6 @@
 // Reproduction: exact SIMD step counts of one pmin/selected_min call as a
 // function of h (linear, slope = steps-per-bit) and of n (flat), plus the
 // paper-min vs OR-probe-min ablation, and wall-clock timings.
-#include <benchmark/benchmark.h>
-
 #include "analysis/fit.hpp"
 #include "bench_common.hpp"
 #include "ppc/primitives.hpp"
@@ -77,49 +75,9 @@ void print_tables() {
               analysis::spread_ratio(totals));
 }
 
-void BM_PminWallClock(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::MachineConfig cfg;
-  cfg.n = n;
-  cfg.bits = 16;
-  sim::Machine m(cfg);
-  ppc::Context ctx(m);
-  util::Rng rng(9);
-  std::vector<sim::Word> data(n * n);
-  for (auto& v : data) v = static_cast<sim::Word>(rng.below(1000));
-  const Pint src(ctx, data);
-  const Pbool anchor = (ppc::col_of(ctx) == static_cast<sim::Word>(n - 1));
-  for (auto _ : state) {
-    const Pint r = ppc::pmin(src, sim::Direction::West, anchor);
-    benchmark::DoNotOptimize(r.values().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_PminWallClock)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_SelectedMinWallClock(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::MachineConfig cfg;
-  cfg.n = n;
-  cfg.bits = 16;
-  sim::Machine m(cfg);
-  ppc::Context ctx(m);
-  const Pint src = ppc::col_of(ctx);
-  const Pbool anchor = (ppc::col_of(ctx) == static_cast<sim::Word>(n - 1));
-  const Pbool all(ctx, true);
-  for (auto _ : state) {
-    const Pint r = ppc::selected_min(src, sim::Direction::West, anchor, all);
-    benchmark::DoNotOptimize(r.values().data());
-  }
-}
-BENCHMARK(BM_SelectedMinWallClock)->Arg(16)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,14 +6,10 @@
 // destinations (all-pairs workers), one machine each, without changing
 // any result (determinism is covered by the test suite; here we measure
 // the speed).
-#include <benchmark/benchmark.h>
-
-#include <fstream>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "mcp/allpairs.hpp"
-#include "sim/plane_kernels.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -23,43 +19,11 @@ using namespace ppa;
 struct Throughput {
   double seconds = 0;
   std::uint64_t steps = 0;
-  double pe_ops = 0;  // steps * n^2
   std::uint64_t panel_io = 0;  // PanelIo category steps (tiled runs)
 };
 
 const char* backend_name(sim::ExecBackend backend) {
   return backend == sim::ExecBackend::BitPlane ? "bitplane" : "word";
-}
-
-const char* simd_name(sim::ExecBackend backend) {
-  // The word backend never touches the plane kernels; "none" keeps its
-  // records distinguishable from a bitplane run forced to scalar.
-  if (backend != sim::ExecBackend::BitPlane) return "none";
-  return sim::plane_kernels::variant_name(sim::plane_kernels::active_variant());
-}
-
-/// Measurement repeats per configuration (PPA_BENCH_BEST_OF, default 1;
-/// tools/run_benchmarks.sh sets 6 for committed baselines). The tables and
-/// BENCH_e6.json report the fastest repeat — the standard best-of-N
-/// estimator for the noise floor on a shared host. Steps are identical
-/// across repeats by construction (the runs are deterministic).
-int best_of() {
-  static const int repeats = [] {
-    const char* env = std::getenv("PPA_BENCH_BEST_OF");
-    const int parsed = env != nullptr ? std::atoi(env) : 1;
-    return parsed > 0 ? parsed : 1;
-  }();
-  return repeats;
-}
-
-template <typename Run>
-Throughput best_throughput(Run&& run) {
-  Throughput best = run();
-  for (int i = 1; i < best_of(); ++i) {
-    const Throughput t = run();
-    if (t.seconds < best.seconds) best = t;
-  }
-  return best;
 }
 
 Throughput run_once(std::size_t n, sim::ExecBackend backend) {
@@ -70,16 +34,13 @@ Throughput run_once(std::size_t n, sim::ExecBackend backend) {
   cfg.n = n;
   cfg.bits = 16;
   cfg.backend = backend;
-  return best_throughput([&] {
-    sim::Machine machine(cfg);
-    util::Stopwatch watch;
-    const auto result = mcp::minimum_cost_path(machine, g, 0);
-    Throughput t;
-    t.seconds = watch.seconds();
-    t.steps = result.total_steps.total();
-    t.pe_ops = static_cast<double>(t.steps) * static_cast<double>(n * n);
-    return t;
-  });
+  sim::Machine machine(cfg);
+  util::Stopwatch watch;
+  const auto result = mcp::minimum_cost_path(machine, g, 0);
+  Throughput t;
+  t.seconds = watch.seconds();
+  t.steps = result.total_steps.total();
+  return t;
 }
 
 Throughput run_all_pairs(std::size_t n, std::size_t workers,
@@ -92,38 +53,12 @@ Throughput run_all_pairs(std::size_t n, std::size_t workers,
   options.workers = workers;
   options.mcp.backend = backend;
   options.mcp.batch_width = batch_width;
-  return best_throughput([&] {
-    util::Stopwatch watch;
-    const auto result = mcp::all_pairs(g, options);
-    Throughput t;
-    t.seconds = watch.seconds();
-    t.steps = result.total_steps.total();
-    t.pe_ops = static_cast<double>(t.steps) * static_cast<double>(n * n);
-    return t;
-  });
-}
-
-/// Machine-readable companion to the tables: wall-clock throughput per
-/// configuration, so a perf trajectory can be tracked across commits
-/// without scraping stdout. (SIMD step counts are workload properties, not
-/// perf results, but they are included so a reader can recompute ops/sec.)
-/// bench::PerfRecord / write_perf_records share the metrics schema's run
-/// field names, which is what lets tools/perf_gate.py consume the file.
-bench::PerfRecord record_of(const char* workload, sim::ExecBackend backend, std::size_t n,
-                            std::size_t host_threads, const Throughput& t,
-                            std::size_t batch_width = 1, std::size_t active_panels = 1) {
-  bench::PerfRecord r;
-  r.workload = workload;
-  r.backend = backend_name(backend);
-  r.n = n;
-  r.host_threads = host_threads;
-  r.batch_width = batch_width;
-  r.active_panels = active_panels;
-  r.simd_steps = t.steps;
-  r.wall_seconds = t.seconds;
-  r.pe_ops_per_sec = t.pe_ops / t.seconds;
-  r.simd = simd_name(backend);
-  return r;
+  util::Stopwatch watch;
+  const auto result = mcp::all_pairs(g, options);
+  Throughput t;
+  t.seconds = watch.seconds();
+  t.steps = result.total_steps.total();
+  return t;
 }
 
 /// Huge-graph virtualization (docs/tiling.md): n = 4096 vertices on a
@@ -138,24 +73,19 @@ Throughput run_tiled(std::size_t n, std::size_t side, bool active,
   options.backend = backend;
   options.array_side = side;
   options.active_panels = active;
-  return best_throughput([&] {
-    util::Stopwatch watch;
-    const auto result = mcp::solve(g, 0, options);
-    Throughput t;
-    t.seconds = watch.seconds();
-    t.steps = result.total_steps.total();
-    t.pe_ops = static_cast<double>(t.steps) * static_cast<double>(side * side);
-    t.panel_io = result.total_steps.count(sim::StepCategory::PanelIo);
-    return t;
-  });
+  util::Stopwatch watch;
+  const auto result = mcp::solve(g, 0, options);
+  Throughput t;
+  t.seconds = watch.seconds();
+  t.steps = result.total_steps.total();
+  t.panel_io = result.total_steps.count(sim::StepCategory::PanelIo);
+  return t;
 }
 
 void print_tables() {
   bench::print_header("E6 — simulator throughput & host-parallel scaling",
                       "simulation artifact metric: wall-clock per SIMD step and host "
                       "thread speedup");
-
-  std::vector<bench::PerfRecord> records;
 
   // Backend comparison: the same workload (identical SIMD steps by
   // construction) executed by the word backend and the bit-plane backend.
@@ -172,7 +102,6 @@ void print_tables() {
       backends.add_row({static_cast<std::int64_t>(n), backend_name(backend),
                         static_cast<std::int64_t>(t.steps), t.seconds * 1e3,
                         word_seconds / t.seconds});
-      records.push_back(record_of("mcp", backend, n, 1, t));
     }
   }
   bench::emit(backends);
@@ -199,7 +128,6 @@ void print_tables() {
       scaling.add_row({backend_name(backend), static_cast<std::int64_t>(workers),
                        static_cast<std::int64_t>(t.steps), t.seconds * 1e3,
                        base_seconds / t.seconds});
-      records.push_back(record_of("all_pairs", backend, 32, workers, t));
     }
   }
   bench::emit(scaling);
@@ -225,7 +153,6 @@ void print_tables() {
       if (width == 1) base_seconds = t.seconds;
       batching.add_row({static_cast<std::int64_t>(width), static_cast<std::int64_t>(t.steps),
                         t.seconds * 1e3, base_seconds / t.seconds});
-      records.push_back(record_of("all_pairs", sim::ExecBackend::BitPlane, n, 1, t, width));
     }
   }
   bench::emit(batching);
@@ -256,8 +183,6 @@ void print_tables() {
                             static_cast<std::int64_t>(t.steps),
                             static_cast<std::int64_t>(t.panel_io), t.seconds * 1e3,
                             dense_seconds / t.seconds});
-      records.push_back(record_of("mcp_tiled", sim::ExecBackend::BitPlane, n, 1, t, 1,
-                                  active ? 1 : 0));
     }
   }
   bench::emit(active_table);
@@ -265,56 +190,11 @@ void print_tables() {
       "The dense row charges exactly I*ceil(n/p)^2*(p+3) PanelIo beats; the active row\n"
       "charges strictly less on this sparse graph (the skipped + overlap-hidden beats\n"
       "are pinned to close the formula exactly in tests/mcp_active_panels_test.cpp).\n\n");
-  bench::write_perf_records(records, "BENCH_e6.json");
 }
-
-void BM_McpEndToEnd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(n);
-  const auto g =
-      graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
-  sim::MachineConfig cfg;
-  cfg.n = n;
-  cfg.bits = 16;
-  cfg.backend = state.range(1) != 0 ? sim::ExecBackend::BitPlane : sim::ExecBackend::Words;
-  for (auto _ : state) {
-    sim::Machine machine(cfg);
-    const auto r = mcp::minimum_cost_path(machine, g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-// Second arg: 0 = word backend, 1 = bit-plane backend.
-BENCHMARK(BM_McpEndToEnd)
-    ->Args({32, 0})
-    ->Args({64, 0})
-    ->Args({32, 1})
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({128, 1});
-
-void BM_BusBroadcastSweep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::MachineConfig cfg;
-  cfg.n = n;
-  cfg.bits = 16;
-  sim::Machine m(cfg);
-  std::vector<sim::Word> src(n * n, 3);
-  std::vector<sim::Flag> open(n * n, 0);
-  for (std::size_t r = 0; r < n; ++r) open[r * n + r] = 1;
-  for (auto _ : state) {
-    auto result = m.broadcast(src, sim::Direction::East, open);
-    benchmark::DoNotOptimize(result.values.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_BusBroadcastSweep)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,8 +12,6 @@
 //   (c) E7b: the PPA totals re-costed under the three bus settle-delay
 //       models (Unit / Log / Linear) — the ablation of the "a bus cycle
 //       costs O(1)" hardware assumption of ref [2].
-#include <benchmark/benchmark.h>
-
 #include "baseline/gcn.hpp"
 #include "baseline/hypercube.hpp"
 #include "baseline/mesh_mcp.hpp"
@@ -97,37 +95,10 @@ void print_delay_ablation() {
       "the advantage over the mesh eroding — the reconfigurable-bus win depends on it.\n\n");
 }
 
-void BM_Model(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
-  util::Rng rng(n * 1009);
-  const auto g = graph::random_reachable_digraph(
-      n, kBits, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
-  const int model = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    switch (model) {
-      case 0: benchmark::DoNotOptimize(mcp::solve(g, 0).iterations); break;
-      case 1: benchmark::DoNotOptimize(baseline::gcn::solve(g, 0).iterations); break;
-      case 2:
-        benchmark::DoNotOptimize(baseline::hypercube::minimum_cost_path(g, 0).iterations);
-        break;
-      default: benchmark::DoNotOptimize(baseline::mesh_solve(g, 0).iterations); break;
-    }
-  }
-  static const char* kNames[] = {"ppa", "gcn", "hypercube", "mesh"};
-  state.SetLabel(kNames[model]);
-}
-BENCHMARK(BM_Model)
-    ->Args({0, 32})
-    ->Args({1, 32})
-    ->Args({2, 32})
-    ->Args({3, 32});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_comparison();
   print_delay_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

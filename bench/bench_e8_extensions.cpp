@@ -8,8 +8,6 @@
 //   (b) all-pairs MCP and diameter via n single-destination runs — the
 //       O(n·p̄·h) aggregate, plus the O(h) on-machine eccentricity
 //       reduction.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "mcp/allpairs.hpp"
 #include "mcp/closure.hpp"
@@ -66,47 +64,10 @@ void print_allpairs_table() {
   bench::emit(table);
 }
 
-void BM_Reachability(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(n);
-  const auto g =
-      graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 20}, 0, rng);
-  for (auto _ : state) {
-    const auto r = mcp::solve_reachability(g, 0);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-BENCHMARK(BM_Reachability)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_TransitiveClosure(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(n);
-  const auto g = graph::random_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 20}, rng);
-  for (auto _ : state) {
-    const auto tc = mcp::transitive_closure(g);
-    benchmark::DoNotOptimize(tc.closed.size());
-  }
-}
-BENCHMARK(BM_TransitiveClosure)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_AllPairs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(n);
-  const auto g =
-      graph::random_reachable_digraph(n, 16, 2.0 / static_cast<double>(n), {1, 20}, 0, rng);
-  for (auto _ : state) {
-    const auto ap = mcp::all_pairs(g);
-    benchmark::DoNotOptimize(ap.diameter);
-  }
-}
-BENCHMARK(BM_AllPairs)->Arg(8)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reachability_table();
   print_allpairs_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // OR-probe minimum). This bench quantifies the port: identical solutions
 // and iteration counts, exactly 2x the broadcast cycles, same wired-OR
 // cycles.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -71,28 +69,9 @@ void print_tables() {
       "topology-robust.\n\n");
 }
 
-void BM_Scheme(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
-  util::Rng rng(n * 271);
-  const auto g = graph::random_reachable_digraph(
-      n, 16, 2.0 / static_cast<double>(n), {1, 30}, 0, rng);
-  const bool linear = state.range(0) != 0;
-  for (auto _ : state) {
-    const auto r = run_scheme(
-        g, linear ? sim::BusTopology::Linear : sim::BusTopology::Ring,
-        linear ? mcp::BroadcastScheme::TwoSidedLinear : mcp::BroadcastScheme::SingleRing,
-        linear ? mcp::MinVariant::OrProbe : mcp::MinVariant::Paper);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-  state.SetLabel(linear ? "linear-two-sided" : "ring-paper");
-}
-BENCHMARK(BM_Scheme)->Args({0, 32})->Args({1, 32});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

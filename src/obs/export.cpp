@@ -13,14 +13,14 @@ namespace {
 
 void write_run(JsonWriter& w, const RunInfo& run) {
   w.begin_object();
-  w.kv(field::kWorkload, run.workload);
-  w.kv(field::kBackend, run.backend);
-  w.kv(field::kN, run.n);
-  w.kv(field::kHostThreads, run.host_threads);
-  w.kv(field::kBatchWidth, run.batch_width);
-  w.kv(field::kActivePanels, run.active_panels);
-  w.kv(field::kSimdSteps, run.simd_steps);
-  w.kv(field::kWallSeconds, run.wall_seconds);
+  w.kv("workload", run.workload);
+  w.kv("backend", run.backend);
+  w.kv("n", run.n);
+  w.kv("host_threads", run.host_threads);
+  w.kv("batch_width", run.batch_width);
+  w.kv("active_panels", run.active_panels);
+  w.kv("simd_steps", run.simd_steps);
+  w.kv("wall_seconds", run.wall_seconds);
   w.end_object();
 }
 

@@ -1,10 +1,10 @@
 // Exporters for the observability schema (docs/observability.md).
 //
 // write_metrics_json emits the stable "ppa.metrics.v1" document: a run
-// context object (same field names as the BENCH_e6.json perf records —
-// obs/json.hpp), the registry's counters/gauges/histograms, and the span
-// tree. write_stats_summary renders the same data as a short human
-// summary for `ppa_mcp --stats`.
+// context object (the field names obs/json_dom.cpp's validator checks),
+// the registry's counters/gauges/histograms, and the span tree.
+// write_stats_summary renders the same data as a short human summary for
+// `ppa_mcp --stats`.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +15,18 @@
 
 namespace ppa::obs {
 
-/// Run context stamped into the dump; field names match the bench
-/// harness's perf records so the perf gate reads both.
+/// Run context stamped into the dump as its "run" object.
 struct RunInfo {
   std::string workload;  // "mcp" | "all_pairs" | ...
   std::string backend;   // "word" | "bitplane"
   std::size_t n = 0;
   std::size_t host_threads = 1;  // host workers (all-pairs --workers)
   /// Destinations per shared machine pass (docs/batching.md); 1 = the
-  /// per-destination engine. Part of the perf gate's configuration key.
+  /// per-destination engine.
   std::size_t batch_width = 1;
   /// 1 when the tiled sweep ran the activity-driven panel schedule
-  /// (docs/tiling.md), 0 with --active-panels=off. Part of the perf gate's
-  /// configuration key: the schedules charge different PanelIo totals.
+  /// (docs/tiling.md), 0 with --active-panels=off; the schedules charge
+  /// different PanelIo totals.
   std::size_t active_panels = 1;
   std::uint64_t simd_steps = 0;
   double wall_seconds = 0;

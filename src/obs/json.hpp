@@ -1,12 +1,9 @@
-// Minimal streaming JSON writer + the observability schema's field names.
+// Minimal streaming JSON writer.
 //
-// Every machine-readable artifact this repo emits — the metrics dump
-// (`ppa_mcp --metrics-out`), the bench harness's perf trajectory
-// (BENCH_e6.json) and the Chrome trace — goes through this writer, and the
-// shared run-record field names live here as constants, so the perf gate
-// (tools/perf_gate.py) and the metrics schema can never drift apart
-// silently. The writer is deliberately tiny: objects, arrays, scalars,
-// string escaping — no DOM, no allocation beyond the output stream.
+// The metrics dump (`ppa_mcp --metrics-out`, and every line of the
+// --snapshot-out stream) goes through this writer. It is deliberately
+// tiny: objects, arrays, scalars, string escaping — no DOM, no allocation
+// beyond the output stream.
 #pragma once
 
 #include <cstdint>
@@ -21,32 +18,6 @@ namespace ppa::obs {
 /// Schema identifier stamped into every metrics dump; bump on any
 /// backwards-incompatible field change (docs/observability.md).
 inline constexpr std::string_view kMetricsSchema = "ppa.metrics.v1";
-
-/// Field names shared between the metrics dump's "run" object and the
-/// BENCH_e6.json perf records (tools/perf_gate.py matches on these).
-namespace field {
-inline constexpr std::string_view kWorkload = "workload";
-inline constexpr std::string_view kBackend = "backend";
-inline constexpr std::string_view kN = "n";
-inline constexpr std::string_view kHostThreads = "host_threads";
-/// Destinations per shared machine pass (docs/batching.md); part of the
-/// perf gate's configuration key so batched and unbatched runs never get
-/// compared against each other's baselines.
-inline constexpr std::string_view kBatchWidth = "batch_width";
-/// 1 = activity-driven panel schedule (docs/tiling.md), 0 = the dense
-/// every-panel sweep. Part of the perf gate's configuration key: the two
-/// schedules charge different PanelIo totals by design.
-inline constexpr std::string_view kActivePanels = "active_panels";
-inline constexpr std::string_view kSimdSteps = "simd_steps";
-inline constexpr std::string_view kWallSeconds = "wall_seconds";
-inline constexpr std::string_view kPeOpsPerSec = "pe_ops_per_sec";
-/// Dispatched SIMD variant of the bit-plane kernels ("scalar" | "avx2" |
-/// "avx512"; "none" on the word backend). Informational — NOT part of the
-/// perf gate's configuration key, so baselines recorded on a different
-/// host still match, but a surprising wall-clock delta can be traced to a
-/// dispatch change from the record alone.
-inline constexpr std::string_view kSimd = "simd";
-}  // namespace field
 
 /// Streaming writer with automatic comma placement. Usage:
 ///   JsonWriter w(out);
