@@ -6,7 +6,8 @@
 //
 // Reproduction: exact SIMD step counts of one pmin/selected_min call as a
 // function of h (linear, slope = steps-per-bit) and of n (flat), plus the
-// paper-min vs OR-probe-min ablation, and wall-clock timings.
+// paper-min vs OR-probe-min ablation. (perfbench times these primitives as
+// its ppc.pmin / ppc.selected_min probes.)
 #include "analysis/fit.hpp"
 #include "bench_common.hpp"
 #include "ppc/primitives.hpp"

@@ -53,7 +53,7 @@ TEST_P(McpStepRegression, CanonicalCountsHold) {
 // Per-iteration cost depends only on h (each iteration is a fixed
 // instruction sequence), so n = 64 and n = 128 — which happen to converge
 // in the same 8 iterations — pin the SAME totals; the n = 128 row is the
-// headline workload of BENCH_e6.json.
+// single-destination workload of the E6 backend table.
 INSTANTIATE_TEST_SUITE_P(
     BenchWorkloads, McpStepRegression,
     ::testing::Values(

@@ -21,7 +21,8 @@ The gate fails when
 It prints one markdown table (workload x metric: base median, HEAD median,
 median ratio, bound, verdict) and exits 0 when the gate passes, 1 when it
 fails and 2 when a run cannot be made. The worktree is removed on every
-exit path. docs/performance.md argues the pair count.
+exit path; its path is fixed, so run one gate at a time per checkout.
+docs/performance.md argues the pair count.
 """
 
 import json
@@ -34,9 +35,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASE_TREE = os.path.join(ROOT, ".bench_build", "perf_ab_base")
-# Interleaved base/HEAD pairs per workload. At run_seconds = 30 one pair of
-# the four workloads takes about 4.4 minutes, so four pairs keep a gate run
-# near 20 minutes including both builds (docs/performance.md).
+# Interleaved base/HEAD pairs per workload: an even count runs both orders
+# equally often, and the median of four drops the highest and lowest pair.
+# At run_seconds = 30 over four workloads a gate run takes about 17 minutes
+# on a 4-vCPU container, both builds included (docs/performance.md).
 PAIRS = 4
 
 
@@ -163,7 +165,7 @@ def main():
     try:
         git("worktree", "add", "--detach", BASE_TREE, sys.argv[1])
         results = measure(spec)
-    except (RunError, subprocess.CalledProcessError) as e:
+    except (RunError, OSError, subprocess.CalledProcessError) as e:
         print("perf_ab: %s" % e, file=sys.stderr)
         return 2
     finally:
